@@ -29,7 +29,7 @@ LAYER_KINDS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerSpec:
     id: int
     kind: str
@@ -66,12 +66,26 @@ class NetworkArch:
     input_shape: tuple[int, int, int]  # (channels, height, width)
     num_classes: int
     _index: dict[int, int] = field(default_factory=dict, repr=False)
+    _inputs: dict[int, tuple] = field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
+    _hash: str | None = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         self.input_shape = tuple(self.input_shape)
         self._index = {l.id: i for i, l in enumerate(self.layers)}
         if len(self._index) != len(self.layers):
             raise ConfigurationError("duplicate layer ids")
+        # resolved once: shape inference and the energy model ask per layer
+        prev = -1
+        for spec in self.layers:
+            if spec.kind == "residual-add":
+                self._inputs[spec.id] = (prev, spec.skip_source)
+            elif spec.skip_source is not None:
+                self._inputs[spec.id] = (spec.skip_source,)
+            else:
+                self._inputs[spec.id] = (prev,)
+            prev = spec.id
         self.validate()
 
     def layer(self, layer_id: int) -> LayerSpec:
@@ -86,16 +100,9 @@ class NetworkArch:
     def conv_ids(self) -> list[int]:
         return [l.id for l in self.layers if l.kind == "conv2d"]
 
-    def input_ids(self, layer_id: int) -> list[int]:
+    def input_ids(self, layer_id: int) -> tuple:
         """Resolved data-flow inputs of a layer (-1 denotes the network input)."""
-        pos = self.position(layer_id)
-        spec = self.layers[pos]
-        prev = self.layers[pos - 1].id if pos > 0 else -1
-        if spec.kind == "residual-add":
-            return [prev, spec.skip_source]
-        if spec.skip_source is not None:
-            return [spec.skip_source]
-        return [prev]
+        return self._inputs[layer_id]
 
     def validate(self):
         seen = set()
@@ -136,9 +143,14 @@ class NetworkArch:
         return shapes
 
     def arch_hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()
-        ).hexdigest()[:16]
+        # Computed on first use, not at construction: most archs (the preset
+        # catalog's) are never hashed. Specs are frozen and archs are never
+        # edited in place, so the cached value cannot go stale.
+        if self._hash is None:
+            self._hash = hashlib.sha256(
+                json.dumps(self.to_dict(), sort_keys=True).encode()
+            ).hexdigest()[:16]
+        return self._hash
 
     def to_dict(self) -> dict:
         recs = []
@@ -190,7 +202,7 @@ class NetworkArch:
         missing = doomed - set(self._index)
         if missing:
             raise ConfigurationError(f"cannot remove unknown layers {sorted(missing)}")
-        kept = [LayerSpec(**asdict(l)) for l in self.layers if l.id not in doomed]
+        kept = [l for l in self.layers if l.id not in doomed]
         for l in kept:
             if l.skip_source in doomed:
                 raise ConfigurationError(

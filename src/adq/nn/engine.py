@@ -42,6 +42,7 @@ class TrainState:
 def init_state(arch: NetworkArch, seed: int) -> TrainState:
     rng = np.random.Generator(np.random.PCG64(seed))
     weights, m, v = {}, {}, {}
+    shapes = None  # inferred on the first batchnorm layer
     for spec in arch.layers:
         if spec.kind == "conv2d":
             fan_in = spec.in_channels * spec.kernel * spec.kernel
@@ -54,7 +55,9 @@ def init_state(arch: NetworkArch, seed: int) -> TrainState:
                            (spec.out_channels, spec.in_channels))
             weights[spec.id] = {"w": w, "b": np.zeros(spec.out_channels)}
         elif spec.kind == "batchnorm":
-            c = _bn_channels(arch, spec.id)
+            if shapes is None:
+                shapes = arch.infer_shapes()
+            c = shapes[spec.id][0]
             weights[spec.id] = {
                 "gamma": np.ones(c),
                 "beta": np.zeros(c),
@@ -67,11 +70,6 @@ def init_state(arch: NetworkArch, seed: int) -> TrainState:
         v[lid] = {k: np.zeros_like(params[k]) for k in TRAINABLE.get(kind, ())}
     return TrainState(weights=weights, m=m, v=v, step=0, epoch=0,
                       rng_seed=seed, rng=rng)
-
-
-def _bn_channels(arch: NetworkArch, layer_id: int) -> int:
-    shape = arch.infer_shapes()[layer_id]
-    return shape[0] if len(shape) == 3 else shape[0]
 
 
 @dataclass

@@ -4,75 +4,103 @@ Everything runs in float64. Each forward returns ``(out, cache)`` and each
 backward consumes ``(cache, grad_out)`` and returns ``(grad_in, param_grads)``
 where ``param_grads`` maps parameter name -> gradient array.
 
-Convolution uses im2col + matmul; pooling uses per-offset slicing with a
-fixed scan order so max-pool ties always break toward the first window
-position (deterministic backward).
+Convolution is a GEMM over patch rows: one gather from a channels-last
+(padded) copy of the input builds the (B·Ho·Wo, C·k·k) matrix, one row per
+output position, columns in ``weight.reshape(Cout, -1)`` order. Training
+must stay bit-identical to the earlier im2col kernels, which fixes memory
+layouts that are usually free choices:
+
+* GEMM operands. OpenBLAS's summation order follows operand layout, so the
+  forward is ``rows @ Wmat.T`` with ``rows`` C-ordered (F-ordered when
+  B = 1), the weight gradient ``ascontiguousarray(rows.T) @ G`` with ``G``
+  the (B·Ho·Wo, Cout) matrix of the output gradient, and the patch gradient
+  ``G @ Wmat``. A transposed view in place of a copy changes bits.
+* Returned strides. numpy reductions (batchnorm statistics, bias gradients)
+  sum in stride order, so the output is the channels-innermost view of the
+  (B·Ho·Wo, Cout) GEMM result and the input gradient is the interior slice
+  of a padded NCHW buffer, even where another layout would be cheaper.
+
+``tests/test_kernels_bitexact.py`` holds both kernels to the earlier ones'
+bits and strides. Pooling uses per-offset slicing with a fixed scan order so
+max-pool ties always break toward the first window position (deterministic
+backward).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 BN_EPS = 1e-5
 
 
 # ---------------------------------------------------------------- convolution
 
-def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int):
+def _patch_rows(x: np.ndarray, kernel: int, stride: int, padding: int):
+    """Patch rows of x and the output size (see the module docstring)."""
     b, c, h, w = x.shape
     ho = (h + 2 * padding - kernel) // stride + 1
     wo = (w + 2 * padding - kernel) // stride + 1
     if padding:
-        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        xp[:, :, padding:padding + h, padding:padding + w] = x
+        xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+        xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
     else:
-        xp = x
-    cols = np.empty((b, c, kernel, kernel, ho, wo), dtype=x.dtype)
-    for i in range(kernel):
-        hi = i + stride * ho
-        for j in range(kernel):
-            wj = j + stride * wo
-            cols[:, :, i, j, :, :] = xp[:, :, i:hi:stride, j:wj:stride]
-    return cols.reshape(b, c * kernel * kernel, ho * wo), (ho, wo)
-
-
-def _col2im(gcols: np.ndarray, x_shape, kernel: int, stride: int, padding: int,
-            ho: int, wo: int):
-    b, c, h, w = x_shape
-    gcols = gcols.reshape(b, c, kernel, kernel, ho, wo)
-    gxp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=gcols.dtype)
-    for i in range(kernel):
-        hi = i + stride * ho
-        for j in range(kernel):
-            wj = j + stride * wo
-            gxp[:, :, i:hi:stride, j:wj:stride] += gcols[:, :, i, j, :, :]
-    if padding:
-        return gxp[:, :, padding:padding + h, padding:padding + w]
-    return gxp
+        xp = x.transpose(0, 2, 3, 1)
+    sb, sh, sw, sc = xp.strides
+    windows = as_strided(xp, (b, ho, wo, c, kernel, kernel),
+                         (sb, stride * sh, stride * sw, sc, sh, sw),
+                         writeable=False)
+    rows = windows.reshape(b * ho * wo, c * kernel * kernel)
+    if b == 1:
+        rows = np.asfortranarray(rows)
+    return rows, (ho, wo)
 
 
 def conv2d_forward(x, weight, bias, stride=1, padding=0):
     """x: (B, Cin, H, W); weight: (Cout, Cin, p, p); bias: (Cout,)."""
-    cout, cin, p, _ = weight.shape
-    cols, (ho, wo) = _im2col(x, p, stride, padding)
-    wmat = weight.reshape(cout, cin * p * p)
-    out = np.einsum("of,bfn->bon", wmat, cols, optimize=True)
-    out += bias[None, :, None]
-    out = out.reshape(x.shape[0], cout, ho, wo)
-    cache = (x.shape, cols, weight, stride, padding, ho, wo)
+    b = x.shape[0]
+    cout = weight.shape[0]
+    rows, (ho, wo) = _patch_rows(x, weight.shape[2], stride, padding)
+    out = rows @ weight.reshape(cout, -1).T
+    out += bias
+    out = out.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
+    if rows.shape[1] == 1:  # an outer product: the earlier kernel's was NCHW
+        out = np.ascontiguousarray(out)
+    cache = (x.shape, rows, weight, stride, padding, ho, wo)
     return out, cache
 
 
 def conv2d_backward(cache, gout):
-    x_shape, cols, weight, stride, padding, ho, wo = cache
-    b = x_shape[0]
-    cout, cin, p, _ = weight.shape
-    gmat = gout.reshape(b, cout, ho * wo)
-    gw = np.einsum("bon,bfn->of", gmat, cols, optimize=True).reshape(weight.shape)
+    x_shape, rows, weight, stride, padding, ho, wo = cache
+    b, c, h, w = x_shape
+    cout, _, p, _ = weight.shape
+    n = ho * wo
+    g = gout.reshape(b, cout, n).transpose(0, 2, 1).reshape(b * n, cout)
+    # one output position: the earlier kernel read the (C·k·k, B) matrix
+    # in the patch rows' own order
+    cols = rows.T if n == 1 else np.ascontiguousarray(rows.T)
+    gw = (cols @ g).T
+    # freed before grows is allocated, so the allocator can hand the same
+    # block back; two such blocks freed together go back to the OS and
+    # are page-faulted in again on the next call
+    del cols
+    if b * n == 1:  # an outer product: the earlier kernel's was C-ordered
+        gw = np.ascontiguousarray(gw)
+    gw = gw.reshape(weight.shape)
     gb = gout.sum(axis=(0, 2, 3))
-    wmat = weight.reshape(cout, cin * p * p)
-    gcols = np.einsum("of,bon->bfn", wmat, gmat, optimize=True)
-    gx = _col2im(gcols, x_shape, p, stride, padding, ho, wo)
+    grows = (g @ weight.reshape(cout, -1)).reshape(b, ho, wo, c, p, p)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    gxp = np.zeros((b, hp, wp, c), dtype=grows.dtype)
+    for i in range(p):
+        hi = i + stride * ho
+        for j in range(p):
+            wj = j + stride * wo
+            gxp[:, i:hi:stride, j:wj:stride] += grows[..., i, j]
+    # accumulated channels-last (long contiguous runs), returned with the
+    # strides of a padded NCHW buffer's interior
+    gx = np.empty((b, c, hp, wp), dtype=gxp.dtype)
+    gx = gx[:, :, padding:padding + h, padding:padding + w]
+    gx[...] = gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
     return gx, {"w": gw, "b": gb}
 
 
@@ -119,24 +147,24 @@ def maxpool_forward(x, kernel, stride=0):
     k, s, ho, wo = _pool_geometry(x, kernel, stride)
     b, c = x.shape[:2]
     best = np.full((b, c, ho, wo), -np.inf, dtype=x.dtype)
-    arg_i = np.zeros((b, c, ho, wo), dtype=np.int8)
-    arg_j = np.zeros((b, c, ho, wo), dtype=np.int8)
+    arg = np.zeros((b, c, ho, wo), dtype=np.min_scalar_type(k * k - 1))
+    better = np.empty((b, c, ho, wo), dtype=bool)
     for i in range(k):
         for j in range(k):
             patch = x[:, :, i:i + s * ho:s, j:j + s * wo:s]
-            better = patch > best  # strict: ties keep the first (i, j) seen
-            best = np.where(better, patch, best)
-            arg_i = np.where(better, np.int8(i), arg_i)
-            arg_j = np.where(better, np.int8(j), arg_j)
-    return best, (x.shape, k, s, ho, wo, arg_i, arg_j)
+            # strict: ties keep the first (i, j) seen, NaNs are never taken
+            np.greater(patch, best, out=better)
+            np.copyto(best, patch, where=better)
+            np.copyto(arg, i * k + j, where=better)
+    return best, (x.shape, k, s, ho, wo, arg)
 
 
 def maxpool_backward(cache, gout):
-    x_shape, k, s, ho, wo, arg_i, arg_j = cache
+    x_shape, k, s, ho, wo, arg = cache
     gx = np.zeros(x_shape, dtype=gout.dtype)
     for i in range(k):
         for j in range(k):
-            sel = (arg_i == i) & (arg_j == j)
+            sel = arg == i * k + j
             gx[:, :, i:i + s * ho:s, j:j + s * wo:s] += gout * sel
     return gx, {}
 

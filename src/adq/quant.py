@@ -58,7 +58,7 @@ def quantize(x, qp: QuantParams):
         return np.zeros_like(x)
     clamped = np.clip(x, qp.x_min, qp.x_max)
     scaled = (clamped - qp.x_min) * (qp.levels / (qp.x_max - qp.x_min))
-    return round_half_away(scaled)
+    return np.floor(scaled + 0.5)  # round_half_away, as scaled >= 0
 
 
 def dequantize(levels, qp: QuantParams):
@@ -80,8 +80,7 @@ def fake_quant(x, qp: QuantParams):
 
 def ste_grad(upstream_grad, x, qp: QuantParams):
     """Straight-through gradient: identity inside [x_min, x_max], zero outside."""
-    mask = (np.asarray(x) >= qp.x_min) & (np.asarray(x) <= qp.x_max)
-    return np.asarray(upstream_grad) * mask
+    return np.asarray(upstream_grad) * ste_mask(x, qp)
 
 
 def ste_mask(x, qp: QuantParams):

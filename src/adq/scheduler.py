@@ -12,13 +12,13 @@ the skip connection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from adq.admon import ADHistory, observation_points
 from adq.errors import ConfigurationError, InputError, TrainingDiverged
-from adq.nn.arch import LayerSpec, NetworkArch, WEIGHTED_KINDS
+from adq.nn.arch import NetworkArch, WEIGHTED_KINDS
 from adq.nn import engine
 from adq.nn.checkpoint import save_checkpoint
 from adq.nn.data import iter_batches
@@ -266,7 +266,7 @@ def rebuild_pruned(arch: NetworkArch, state: engine.TrainState,
 
     for spec in arch.layers:
         srcs = arch.input_ids(spec.id)
-        new_spec = LayerSpec(**asdict(spec))
+        new_spec = spec
         if spec.kind == "residual-add":
             main_sel, skip_sel = out_sel[srcs[0]], out_sel[srcs[1]]
             if len(main_sel) != len(skip_sel):
@@ -280,8 +280,8 @@ def rebuild_pruned(arch: NetworkArch, state: engine.TrainState,
             sel = kept.get(spec.id, list(range(spec.out_channels)))
             w = state.weights[spec.id]["w"][np.ix_(sel, in_sel)]
             b = state.weights[spec.id]["b"][sel]
-            new_spec.in_channels = len(in_sel)
-            new_spec.out_channels = len(sel)
+            new_spec = replace(spec, in_channels=len(in_sel),
+                               out_channels=len(sel))
             new_weights[spec.id] = {"w": w.copy(), "b": b.copy()}
             out_sel[spec.id] = sel
         elif spec.kind == "linear":
@@ -292,7 +292,7 @@ def rebuild_pruned(arch: NetworkArch, state: engine.TrainState,
             else:
                 feats = in_sel
             w = state.weights[spec.id]["w"][:, feats]
-            new_spec.in_channels = len(feats)
+            new_spec = replace(spec, in_channels=len(feats))
             new_weights[spec.id] = {"w": w.copy(),
                                     "b": state.weights[spec.id]["b"].copy()}
             out_sel[spec.id] = list(range(spec.out_channels))

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately naive (nested loops, direct formulas) and
-shares no code with the package internals.
+Everything here shares no code with the package internals. Most of it is
+deliberately naive (nested loops, direct formulas); the einsum convolution
+kernels are the package's former kernels, kept as a bit-for-bit reference.
 """
 
 import numpy as np
@@ -27,6 +28,69 @@ def naive_conv2d(x, w, b, stride=1, padding=0):
                                         * w[o, c, a, z])
                     out[n, o, i, j] = acc
     return out
+
+
+# The package's original im2col + ``np.einsum`` convolution kernels, kept
+# verbatim as the bit-for-bit reference for the einsum-free kernels: the
+# rewrite must reproduce their results and the memory layout (strides) of
+# every array they return, because downstream reductions follow strides.
+
+def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int):
+    b, c, h, w = x.shape
+    ho = (h + 2 * padding - kernel) // stride + 1
+    wo = (w + 2 * padding - kernel) // stride + 1
+    if padding:
+        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x
+    else:
+        xp = x
+    cols = np.empty((b, c, kernel, kernel, ho, wo), dtype=x.dtype)
+    for i in range(kernel):
+        hi = i + stride * ho
+        for j in range(kernel):
+            wj = j + stride * wo
+            cols[:, :, i, j, :, :] = xp[:, :, i:hi:stride, j:wj:stride]
+    return cols.reshape(b, c * kernel * kernel, ho * wo), (ho, wo)
+
+
+def _col2im(gcols: np.ndarray, x_shape, kernel: int, stride: int, padding: int,
+            ho: int, wo: int):
+    b, c, h, w = x_shape
+    gcols = gcols.reshape(b, c, kernel, kernel, ho, wo)
+    gxp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=gcols.dtype)
+    for i in range(kernel):
+        hi = i + stride * ho
+        for j in range(kernel):
+            wj = j + stride * wo
+            gxp[:, :, i:hi:stride, j:wj:stride] += gcols[:, :, i, j, :, :]
+    if padding:
+        return gxp[:, :, padding:padding + h, padding:padding + w]
+    return gxp
+
+
+def einsum_conv2d_forward(x, weight, bias, stride=1, padding=0):
+    """x: (B, Cin, H, W); weight: (Cout, Cin, p, p); bias: (Cout,)."""
+    cout, cin, p, _ = weight.shape
+    cols, (ho, wo) = _im2col(x, p, stride, padding)
+    wmat = weight.reshape(cout, cin * p * p)
+    out = np.einsum("of,bfn->bon", wmat, cols, optimize=True)
+    out += bias[None, :, None]
+    out = out.reshape(x.shape[0], cout, ho, wo)
+    cache = (x.shape, cols, weight, stride, padding, ho, wo)
+    return out, cache
+
+
+def einsum_conv2d_backward(cache, gout):
+    x_shape, cols, weight, stride, padding, ho, wo = cache
+    b = x_shape[0]
+    cout, cin, p, _ = weight.shape
+    gmat = gout.reshape(b, cout, ho * wo)
+    gw = np.einsum("bon,bfn->of", gmat, cols, optimize=True).reshape(weight.shape)
+    gb = gout.sum(axis=(0, 2, 3))
+    wmat = weight.reshape(cout, cin * p * p)
+    gcols = np.einsum("of,bon->bfn", wmat, gmat, optimize=True)
+    gx = _col2im(gcols, x_shape, p, stride, padding, ho, wo)
+    return gx, {"w": gw, "b": gb}
 
 
 def naive_maxpool(x, k, stride):

@@ -1,0 +1,173 @@
+"""The convolution kernels reproduce the former einsum kernels bit for bit.
+
+``oracles.einsum_conv2d_forward``/``einsum_conv2d_backward`` are the
+package's original im2col + ``np.einsum`` kernels. The current kernels must
+return equal values *and* equal memory layouts: a GEMM operand's layout
+picks OpenBLAS's summation order, and a returned array's strides pick the
+summation order of every later numpy reduction over it (batchnorm, bias
+gradients), so a layout change moves trained weights even when each conv
+call is bit-equal. The schedule test checks that end to end by comparing two
+trainings in one process, which holds on any BLAS build; a literal digest
+would not.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from adq.nn import layers as L
+from adq.nn.arch import LayerSpec, NetworkArch
+from adq.nn.data import synthetic_dataset
+from adq.scheduler import ScheduleConfig, run_schedule
+
+import oracles
+
+BATCHES = (1, 2, 44, 64, 256)
+CHANNELS = (1, 3, 8, 16, 27, 32)
+KERNELS = (1, 3)
+STRIDE_PADDING = ((1, 1), (2, 1), (1, 0), (2, 0))
+
+
+def _layout(a):
+    """Strides of the axes longer than 1. numpy gives length-1 axes
+    arbitrary strides, and no traversal order depends on them."""
+    return tuple(s for s, n in zip(a.strides, a.shape) if n > 1)
+
+
+def _same(got, want):
+    return np.array_equal(got, want) and _layout(got) == _layout(want)
+
+
+def _channels_last(a):
+    """a's values in the layout conv outputs have: channels innermost."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("stride,padding", STRIDE_PADDING)
+@pytest.mark.parametrize("batch", BATCHES)
+def test_conv_matches_einsum_kernels(batch, stride, padding):
+    rng = np.random.default_rng(batch * 10 + stride * 2 + padding)
+    failures = []
+    for cin, cout, k in itertools.product(CHANNELS, CHANNELS, KERNELS):
+        x = rng.normal(size=(batch, cin, 4, 4))
+        w = rng.normal(size=(cout, cin, k, k))
+        b = rng.normal(size=cout)
+        want, want_cache = oracles.einsum_conv2d_forward(x, w, b, stride,
+                                                         padding)
+        got, cache = L.conv2d_forward(x, w, b, stride, padding)
+        case = f"{cin}->{cout} k{k}"
+        if not _same(got, want):
+            failures.append(f"{case}: out")
+        # upstream gradients arrive NCHW-contiguous (from pooling, flatten
+        # or a routed copy) or channels-innermost (from elementwise layers
+        # over a conv output)
+        gout = rng.normal(size=want.shape)
+        for tag, g in (("nchw", gout), ("nhwc", _channels_last(gout))):
+            gx_want, pg_want = oracles.einsum_conv2d_backward(want_cache, g)
+            gx, pg = L.conv2d_backward(cache, g)
+            for name, a, ref in (("gx", gx, gx_want), ("gw", pg["w"], pg_want["w"]),
+                                 ("gb", pg["b"], pg_want["b"])):
+                if not _same(a, ref):
+                    failures.append(f"{case}: {name} ({tag} gout)")
+    assert not failures, failures
+
+
+def test_channels_last_input():
+    """Conv inputs are usually channels-innermost (a ReLU over a conv
+    output); the result must not depend on the input's layout."""
+    rng = np.random.default_rng(7)
+    x = _channels_last(rng.normal(size=(8, 16, 6, 5)))
+    w = rng.normal(size=(8, 16, 3, 3))
+    b = rng.normal(size=8)
+    for stride, padding in STRIDE_PADDING:
+        want, want_cache = oracles.einsum_conv2d_forward(x, w, b, stride,
+                                                         padding)
+        got, cache = L.conv2d_forward(x, w, b, stride, padding)
+        assert _same(got, want)
+        g = rng.normal(size=want.shape)
+        gx_want, pg_want = oracles.einsum_conv2d_backward(want_cache, g)
+        gx, pg = L.conv2d_backward(cache, g)
+        assert _same(gx, gx_want)
+        assert _same(pg["w"], pg_want["w"]) and _same(pg["b"], pg_want["b"])
+
+
+def _residual_arch():
+    specs = [
+        dict(kind="conv2d", in_channels=3, out_channels=6, kernel=3,
+             padding=1),
+        dict(kind="batchnorm"),
+        dict(kind="relu"),
+        dict(kind="conv2d", in_channels=6, out_channels=8, kernel=1,
+             stride=2, skip_source=2),
+        dict(kind="batchnorm"),
+        dict(kind="conv2d", in_channels=6, out_channels=8, kernel=3,
+             stride=2, padding=1, skip_source=2),
+        dict(kind="batchnorm"),
+        dict(kind="relu"),
+        dict(kind="conv2d", in_channels=8, out_channels=8, kernel=3,
+             padding=1),
+        dict(kind="batchnorm"),
+        dict(kind="residual-add", skip_source=4),
+        dict(kind="relu"),
+        dict(kind="avgpool", kernel=0),
+        dict(kind="flatten"),
+        dict(kind="linear", in_channels=8, out_channels=4),
+    ]
+    return NetworkArch([LayerSpec(id=i, **kw) for i, kw in enumerate(specs)],
+                       (3, 8, 8), 4)
+
+
+def _train():
+    ds = synthetic_dataset(num_classes=4, image_shape=(3, 8, 8),
+                           train_per_class=16, test_per_class=5, seed=3)
+    # 64 samples in batches of 21: the last batch of each epoch has one
+    # sample, so B = 1 runs inside training too
+    cfg = ScheduleConfig(initial_bits=8, max_iters=2, epoch_budget=3,
+                         saturation_epsilon=0.0, saturation_window=2,
+                         pruning_enabled=True, final_convergence_epochs=2,
+                         batch_size=21)
+    return run_schedule(_residual_arch(), ds, cfg, seed=5)
+
+
+def test_schedule_weights_match_einsum_kernels(monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(L, "conv2d_forward", oracles.einsum_conv2d_forward)
+        mp.setattr(L, "conv2d_backward", oracles.einsum_conv2d_backward)
+        want = _train()
+    got = _train()
+    before = _residual_arch()
+    assert any(got.arch.layer(i).out_channels < before.layer(i).out_channels
+               for i in before.conv_ids()), "the schedule pruned nothing"
+    assert got.arch.to_dict() == want.arch.to_dict()
+    assert got.log.final_accuracy == want.log.final_accuracy
+    assert got.state.weights.keys() == want.state.weights.keys()
+    for lid, params in want.state.weights.items():
+        for name, arr in params.items():
+            assert np.array_equal(got.state.weights[lid][name], arr), (lid, name)
+
+
+class TestMaxpoolSemantics:
+    def test_ties_route_to_the_first_window_position(self):
+        x = np.array([[[[1.0, 3.0], [3.0, 3.0]]]])
+        out, cache = L.maxpool_forward(x, 2, 2)
+        assert out[0, 0, 0, 0] == 3.0
+        gx, _ = L.maxpool_backward(cache, np.ones((1, 1, 1, 1)))
+        assert gx.tolist() == [[[[0.0, 1.0], [0.0, 0.0]]]]
+
+    def test_nans_are_never_selected(self):
+        x = np.array([[[[np.nan, -2.0, np.nan, np.nan],
+                        [-5.0, np.nan, np.nan, np.nan]]]])
+        out, cache = L.maxpool_forward(x, 2, 2)
+        # a window of NaNs only keeps the initial -inf and its first position
+        assert out.tolist() == [[[[-2.0, -np.inf]]]]
+        gx, _ = L.maxpool_backward(cache, np.array([[[[1.0, 2.0]]]]))
+        assert gx.tolist() == [[[[0.0, 1.0, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]]
+
+    def test_global_window_larger_than_int8(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2, 3, 13, 13))  # 169 window positions
+        out, cache = L.maxpool_forward(x, 0)
+        assert np.array_equal(out[..., 0, 0], x.max(axis=(2, 3)))
+        gx, _ = L.maxpool_backward(cache, np.ones_like(out))
+        assert np.array_equal(gx, (x == x.max(axis=(2, 3), keepdims=True)) * 1.0)
