@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from adq.errors import InputError
-from adq.nn.arch import NetworkArch, WEIGHTED_KINDS
+from adq.nn.arch import KINDS, NetworkArch
 
 
 @dataclass
@@ -127,14 +127,6 @@ class ADHistory:
             for (lid, e), r in sorted(self.records.items())
         ]
 
-    @classmethod
-    def from_rows(cls, rows) -> "ADHistory":
-        hist = cls()
-        for r in rows:
-            hist.records[(r["layer_id"], r["epoch"])] = ADRecord(
-                r["layer_id"], r["epoch"], r["nonzero"], r["total"])
-        return hist
-
 
 def observation_points(arch: NetworkArch) -> dict[int, tuple[int, bool]]:
     """Map each weighted layer to its activation observation point.
@@ -147,13 +139,13 @@ def observation_points(arch: NetworkArch) -> dict[int, tuple[int, bool]]:
     points = {}
     layers = arch.layers
     for i, spec in enumerate(layers):
-        if spec.kind not in WEIGHTED_KINDS:
+        if not spec.weighted:
             continue
         found = None
         for nxt in layers[i + 1:]:
-            if nxt.kind in WEIGHTED_KINDS:
+            if nxt.weighted:
                 break
-            if nxt.kind == "relu":
+            if KINDS[nxt.kind].observed:
                 found = nxt.id
                 break
         if found is None:

@@ -105,50 +105,21 @@ def layer_shapes(arch: NetworkArch, channels=None) -> list[LayerShape]:
 
     `channels` optionally overrides conv output channel counts
     ({layer_id: count}); input channel counts and downstream feature sizes
-    are re-derived so pruned models are costed at their pruned shapes.
+    follow (see NetworkArch.infer_shapes), so pruned models are costed at
+    their pruned shapes.
     """
-    channels = dict(channels or {})
-    shapes = {-1: tuple(arch.input_shape)}
+    shapes = arch.infer_shapes(channels)
     out = []
     for spec in arch.layers:
-        srcs = arch.input_ids(spec.id)
-        try:
-            ins = [shapes[s] for s in srcs]
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"layer {spec.id}: unresolved input {exc}") from exc
         if spec.kind == "conv2d":
-            c, h, w = ins[0]
-            o = channels.get(spec.id, spec.out_channels)
-            ho = (h + 2 * spec.padding - spec.kernel) // spec.stride + 1
-            wo = (w + 2 * spec.padding - spec.kernel) // spec.stride + 1
-            out.append(LayerShape(spec.id, "conv", n=h, m=ho, p=spec.kernel,
-                                  i=c, o=o))
-            shapes[spec.id] = (o, ho, wo)
+            i, n, _ = shapes[arch.input_ids(spec.id)[0]]
+            o, m, _ = shapes[spec.id]
+            out.append(LayerShape(spec.id, "conv", n=n, m=m, p=spec.kernel,
+                                  i=i, o=o))
         elif spec.kind == "linear":
-            (f,) = ins[0]
-            out.append(LayerShape(spec.id, "linear", n=1, m=1, p=1,
-                                  i=f, o=spec.out_channels))
-            shapes[spec.id] = (spec.out_channels,)
-        elif spec.kind == "residual-add":
-            a, b = ins
-            if a[0] != b[0]:
-                raise ConfigurationError(
-                    f"layer {spec.id}: residual-add channels diverge "
-                    f"({a[0]} vs {b[0]}) under the given channel overrides")
-            shapes[spec.id] = a
-        elif spec.kind == "flatten":
-            n = 1
-            for s in ins[0]:
-                n *= s
-            shapes[spec.id] = (n,)
-        elif spec.kind in ("maxpool", "avgpool"):
-            c, h, w = ins[0]
-            k = spec.kernel if spec.kernel else h
-            s = spec.stride if spec.stride else k
-            shapes[spec.id] = (c, (h - k) // s + 1, (w - k) // s + 1)
-        else:  # relu, batchnorm
-            shapes[spec.id] = ins[0]
+            (i,) = shapes[arch.input_ids(spec.id)[0]]
+            (o,) = shapes[spec.id]
+            out.append(LayerShape(spec.id, "linear", n=1, m=1, p=1, i=i, o=o))
     return out
 
 
@@ -238,29 +209,37 @@ def _resolve_bits(shapes, assignment):
     return {s.layer_id: int(bits[s.layer_id]) for s in shapes}
 
 
+def _network_energy(model, arch, assignment, prune_state, baseline_bits,
+                    cost) -> EnergyReport:
+    """Report with one row per weighted layer; cost(shape, k) returns
+    (the PIM precision or None, energy in pJ). The baseline is uniform
+    `baseline_bits`, unpruned, over the same layer set."""
+    channels = getattr(prune_state, "channels", prune_state)
+    shapes = layer_shapes(arch, channels)
+    bits = _resolve_bits(shapes, assignment)
+    report = EnergyReport(model=model, baseline_bits=baseline_bits)
+    for s in shapes:
+        k = bits[s.layer_id]
+        pim_k, energy_pj = cost(s, k)
+        report.rows.append(LayerEnergy(
+            layer_id=s.layer_id, kind=s.kind, k=k, pim_k=pim_k,
+            in_channels=s.i, out_channels=s.o,
+            n_mem=mem_accesses(s), n_mac=mac_count(s),
+            energy_pj=energy_pj, binary_flag=(k == 1)))
+    report.baseline_total_pj = sum(
+        cost(s, baseline_bits)[1] for s in layer_shapes(arch))
+    return report
+
+
 def pim_network_energy(arch: NetworkArch, assignment, prune_state=None,
                        table: PimEnergyTable = PIM_TABLE,
                        baseline_bits: int = 16) -> EnergyReport:
     """MAC-only PIM energy report; baseline is uniform 16-bit, unpruned."""
-    channels = getattr(prune_state, "channels", prune_state)
-    shapes = layer_shapes(arch, channels)
-    bits = _resolve_bits(shapes, assignment)
-    report = EnergyReport(model="pim", baseline_bits=baseline_bits)
-    for s in shapes:
-        k = bits[s.layer_id]
+    def cost(s, k):
         pk = pim_round_bits(k)
-        nm = mac_count(s)
-        report.rows.append(LayerEnergy(
-            layer_id=s.layer_id, kind=s.kind, k=k, pim_k=pk,
-            in_channels=s.i, out_channels=s.o,
-            n_mem=mem_accesses(s), n_mac=nm,
-            energy_pj=nm * table.e_mac(pk) / 1e3,  # fJ -> pJ
-            binary_flag=(k == 1)))
-    base_shapes = layer_shapes(arch)
-    report.baseline_total_pj = sum(
-        mac_count(s) * table.e_mac(pim_round_bits(baseline_bits)) / 1e3
-        for s in base_shapes)
-    return report
+        return pk, mac_count(s) * table.e_mac(pk) / 1e3  # fJ -> pJ
+    return _network_energy("pim", arch, assignment, prune_state,
+                           baseline_bits, cost)
 
 
 def analytical_network_energy(arch: NetworkArch, assignment, prune_state=None,
@@ -268,22 +247,10 @@ def analytical_network_energy(arch: NetworkArch, assignment, prune_state=None,
                               baseline_bits: int = 16) -> EnergyReport:
     """MAC + memory-access energy report; baseline is uniform `baseline_bits`,
     unpruned, over the same layer set."""
-    channels = getattr(prune_state, "channels", prune_state)
-    shapes = layer_shapes(arch, channels)
-    bits = _resolve_bits(shapes, assignment)
-    report = EnergyReport(model="analytical", baseline_bits=baseline_bits)
-    for s in shapes:
-        k = bits[s.layer_id]
-        report.rows.append(LayerEnergy(
-            layer_id=s.layer_id, kind=s.kind, k=k, pim_k=None,
-            in_channels=s.i, out_channels=s.o,
-            n_mem=mem_accesses(s), n_mac=mac_count(s),
-            energy_pj=analytical_layer_energy(s, k, table),
-            binary_flag=(k == 1)))
-    base_shapes = layer_shapes(arch)
-    report.baseline_total_pj = sum(
-        analytical_layer_energy(s, baseline_bits, table) for s in base_shapes)
-    return report
+    def cost(s, k):
+        return None, analytical_layer_energy(s, k, table)
+    return _network_energy("analytical", arch, assignment, prune_state,
+                           baseline_bits, cost)
 
 
 def efficiency_ratio(report: EnergyReport, baseline_report: EnergyReport) -> float:

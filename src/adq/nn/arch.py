@@ -1,4 +1,12 @@
-"""Network architecture description: layer specs, shape inference, JSON I/O.
+"""Network architecture description: layer kinds, layer specs, shape
+inference, JSON I/O.
+
+``KINDS`` is the one place that defines a layer kind. Its entry says which
+spec fields the kind reads, how it transforms its input shape, which
+parameters it holds, trains and how they are initialised, and which kernel
+pair in ``adq.nn.layers`` runs it. Spec validation, ``infer_shapes``, the
+engine's ``init_state``/``forward``/``backward`` and the energy model all
+read it; a new kind is added there and nowhere else.
 
 A network is an ordered list of layers. Each layer consumes the output of the
 previous layer unless it carries a ``skip_source``:
@@ -12,21 +20,149 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, asdict
+from typing import Callable
+
+import numpy as np
 
 from adq.errors import ConfigurationError
+from adq.nn.layers import conv_output_size, pool_geometry
 
-WEIGHTED_KINDS = ("conv2d", "linear")
-LAYER_KINDS = (
-    "conv2d",
-    "linear",
-    "relu",
-    "maxpool",
-    "avgpool",
-    "flatten",
-    "residual-add",
-    "batchnorm",
-)
+
+# ------------------------------------------------------------------ kinds
+# Shape rules take (spec, input shapes, channel overrides) and return the
+# output shape. With overrides ({conv id: out channels}, see infer_shapes)
+# input channel and feature counts follow the propagated shapes instead of
+# being checked against the spec. Errors are prefixed with the layer by
+# infer_shapes.
+
+def _chw_input(ins):
+    (shape,) = ins
+    if len(shape) != 3:
+        raise ConfigurationError(f"needs a (C,H,W) input, got {shape}")
+    return shape
+
+
+def _nonempty(c, ho, wo):
+    if ho < 1 or wo < 1:
+        raise ConfigurationError("output would be empty")
+    return (c, ho, wo)
+
+
+def _conv_shape(spec, ins, channels):
+    c, h, w = _chw_input(ins)
+    if channels is None and c != spec.in_channels:
+        raise ConfigurationError(
+            f"expects {spec.in_channels} input channels, got {c}")
+    out = spec.out_channels if channels is None else channels.get(
+        spec.id, spec.out_channels)
+    return _nonempty(out, *conv_output_size(h, w, spec.kernel, spec.stride,
+                                            spec.padding))
+
+
+def _linear_shape(spec, ins, channels):
+    (shape,) = ins
+    if len(shape) != 1:
+        raise ConfigurationError(
+            f"needs a flat input, got {shape} (missing flatten?)")
+    if channels is None and shape[0] != spec.in_channels:
+        raise ConfigurationError(
+            f"expects {spec.in_channels} features, got {shape[0]}")
+    return (spec.out_channels,)
+
+
+def _pool_shape(spec, ins, channels):
+    c, h, w = _chw_input(ins)
+    _, _, ho, wo = pool_geometry(h, w, spec.kernel, spec.stride)
+    return _nonempty(c, ho, wo)
+
+
+def _same_shape(spec, ins, channels):
+    (shape,) = ins
+    return shape
+
+
+def _flat_shape(spec, ins, channels):
+    (shape,) = ins
+    return (math.prod(shape),)
+
+
+def _add_shape(spec, ins, channels):
+    a, b = ins
+    if a != b:
+        raise ConfigurationError(f"inputs have shapes {a} and {b}")
+    return a
+
+
+def _he_weights(wshape, rng):
+    """He-normal weights (fan-in: every axis but the first) and a zero bias."""
+    return {"w": rng.normal(0.0, np.sqrt(2.0 / math.prod(wshape[1:])), wshape),
+            "b": np.zeros(wshape[0])}
+
+
+def _conv_init(spec, shape, rng):
+    return _he_weights((spec.out_channels, spec.in_channels, spec.kernel,
+                        spec.kernel), rng)
+
+
+def _linear_init(spec, shape, rng):
+    return _he_weights((spec.out_channels, spec.in_channels), rng)
+
+
+def _bn_init(spec, shape, rng):
+    c = shape[0]
+    return {"gamma": np.ones(c), "beta": np.zeros(c),
+            "running_mean": np.zeros(c), "running_var": np.ones(c)}
+
+
+def _pool_args(spec, training):
+    return (spec.kernel, spec.stride)
+
+
+@dataclass(frozen=True)
+class LayerKind:
+    """One layer kind; see the module docstring."""
+    out_shape: Callable    # (spec, input shapes, channel overrides) -> shape
+    kernel: str            # runs as adq.nn.layers.<kernel>_forward/_backward
+    # (spec, training) -> the forward kernel's arguments after the inputs
+    # and the parameters
+    args: Callable = lambda spec, training: ()
+    reads: tuple = ()      # (spec field, least valid value) pairs
+    inputs: int = 1        # 2: the previous layer, then skip_source
+    params: tuple = ()     # parameter names, in forward-kernel order
+    trainable: tuple = ()  # the parameters the optimizer updates
+    init: Callable | None = None  # (spec, output shape, rng) -> parameters
+    weighted: bool = False  # quantized weights and input; costed by energy
+    observed: bool = False  # output reported to forward hooks (AD sites)
+
+
+_CHANNEL_READS = (("in_channels", 1), ("out_channels", 1))
+_POOL_READS = (("kernel", 0), ("stride", 1))
+
+KINDS = {
+    "conv2d": LayerKind(
+        _conv_shape, "conv2d",
+        args=lambda spec, training: (spec.stride, spec.padding),
+        reads=_CHANNEL_READS + (("kernel", 1), ("stride", 1), ("padding", 0)),
+        params=("w", "b"), trainable=("w", "b"), init=_conv_init,
+        weighted=True),
+    "linear": LayerKind(
+        _linear_shape, "linear", reads=_CHANNEL_READS,
+        params=("w", "b"), trainable=("w", "b"), init=_linear_init,
+        weighted=True),
+    "relu": LayerKind(_same_shape, "relu", observed=True),
+    "maxpool": LayerKind(_pool_shape, "maxpool", args=_pool_args,
+                         reads=_POOL_READS),
+    "avgpool": LayerKind(_pool_shape, "avgpool", args=_pool_args,
+                         reads=_POOL_READS),
+    "flatten": LayerKind(_flat_shape, "flatten"),
+    "residual-add": LayerKind(_add_shape, "add", inputs=2),
+    "batchnorm": LayerKind(
+        _same_shape, "batchnorm", args=lambda spec, training: (training,),
+        params=("gamma", "beta", "running_mean", "running_var"),
+        trainable=("gamma", "beta"), init=_bn_init),
+}
 
 
 @dataclass(frozen=True)
@@ -40,24 +176,23 @@ class LayerSpec:
     padding: int = 0
     skip_source: int | None = None
 
+    @property
+    def weighted(self) -> bool:
+        return KINDS[self.kind].weighted
+
     def validate(self):
-        if self.kind not in LAYER_KINDS:
+        kind = KINDS.get(self.kind)
+        if kind is None:
             raise ConfigurationError(f"layer {self.id}: unknown kind {self.kind!r}")
-        if self.kind in WEIGHTED_KINDS:
-            if self.in_channels < 1 or self.out_channels < 1:
+        for name, least in kind.reads:
+            if getattr(self, name) < least:
                 raise ConfigurationError(
-                    f"layer {self.id} ({self.kind}): in/out channels must be >= 1"
-                )
-        if self.kind == "conv2d" and self.kernel < 1:
-            raise ConfigurationError(f"layer {self.id} (conv2d): kernel must be >= 1")
-        if self.kind in ("maxpool", "avgpool") and self.kernel < 0:
-            raise ConfigurationError(f"layer {self.id} ({self.kind}): kernel must be >= 0")
-        if self.stride < 1 and self.kind in ("conv2d", "maxpool", "avgpool"):
-            raise ConfigurationError(f"layer {self.id} ({self.kind}): stride must be >= 1")
+                    f"layer {self.id} ({self.kind}): {name} must be >= {least}")
         if self.padding < 0:
             raise ConfigurationError(f"layer {self.id}: negative padding")
-        if self.kind == "residual-add" and self.skip_source is None:
-            raise ConfigurationError(f"layer {self.id}: residual-add requires skip_source")
+        if kind.inputs == 2 and self.skip_source is None:
+            raise ConfigurationError(
+                f"layer {self.id}: {self.kind} requires skip_source")
 
 
 @dataclass
@@ -70,22 +205,14 @@ class NetworkArch:
                                       repr=False, compare=False)
     _hash: str | None = field(default=None, init=False, repr=False,
                               compare=False)
+    _shapes: dict | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         self.input_shape = tuple(self.input_shape)
         self._index = {l.id: i for i, l in enumerate(self.layers)}
         if len(self._index) != len(self.layers):
             raise ConfigurationError("duplicate layer ids")
-        # resolved once: shape inference and the energy model ask per layer
-        prev = -1
-        for spec in self.layers:
-            if spec.kind == "residual-add":
-                self._inputs[spec.id] = (prev, spec.skip_source)
-            elif spec.skip_source is not None:
-                self._inputs[spec.id] = (spec.skip_source,)
-            else:
-                self._inputs[spec.id] = (prev,)
-            prev = spec.id
         self.validate()
 
     def layer(self, layer_id: int) -> LayerSpec:
@@ -95,7 +222,7 @@ class NetworkArch:
         return self._index[layer_id]
 
     def weighted_ids(self) -> list[int]:
-        return [l.id for l in self.layers if l.kind in WEIGHTED_KINDS]
+        return [l.id for l in self.layers if l.weighted]
 
     def conv_ids(self) -> list[int]:
         return [l.id for l in self.layers if l.kind == "conv2d"]
@@ -106,6 +233,7 @@ class NetworkArch:
 
     def validate(self):
         seen = set()
+        prev = -1
         for spec in self.layers:
             spec.validate()
             if spec.skip_source is not None:
@@ -114,25 +242,40 @@ class NetworkArch:
                         f"layer {spec.id}: skip_source {spec.skip_source} is not an "
                         "earlier layer"
                     )
+            # resolved once: shape inference and the energy model ask per layer
+            if KINDS[spec.kind].inputs == 2:
+                self._inputs[spec.id] = (prev, spec.skip_source)
+            elif spec.skip_source is not None:
+                self._inputs[spec.id] = (spec.skip_source,)
+            else:
+                self._inputs[spec.id] = (prev,)
+            prev = spec.id
             seen.add(spec.id)
         self.infer_shapes()
 
-    def infer_shapes(self) -> dict[int, tuple]:
+    def infer_shapes(self, channels=None) -> dict[int, tuple]:
         """Propagate the input shape through every layer.
 
-        Returns a map layer_id -> output shape, either (C, H, W) or (F,).
+        Returns a map layer_id -> output shape, either (C, H, W) or (F,),
+        with -1 for the network input. `channels` ({conv id: out channels})
+        costs a pruned configuration on this architecture: overridden convs
+        produce that many channels, and downstream input channel and feature
+        counts follow the propagated shapes instead of the specs.
         Raises ConfigurationError naming the first inconsistent layer.
         """
-        shapes: dict[int, tuple] = {-1: tuple(self.input_shape)}
+        # the unpruned shapes are kept from validation: specs are frozen and
+        # archs are never edited in place
+        if channels is None and self._shapes is not None:
+            return dict(self._shapes)
+        shapes: dict[int, tuple] = {-1: self.input_shape}
+        resolve = shapes.__getitem__
         for spec in self.layers:
-            ins = []
-            for src in self.input_ids(spec.id):
-                if src not in shapes:
-                    raise ConfigurationError(
-                        f"layer {spec.id}: input {src} has no resolved shape"
-                    )
-                ins.append(shapes[src])
-            shapes[spec.id] = _out_shape(spec, ins)
+            ins = [*map(resolve, self._inputs[spec.id])]
+            try:
+                shapes[spec.id] = KINDS[spec.kind].out_shape(spec, ins, channels)
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"layer {spec.id} ({spec.kind}): {exc}") from None
         last = self.layers[-1]
         out = shapes[last.id]
         if out != (self.num_classes,):
@@ -140,6 +283,8 @@ class NetworkArch:
                 f"final layer {last.id} produces shape {out}, expected "
                 f"({self.num_classes},)"
             )
+        if channels is None:
+            self._shapes = dict(shapes)
         return shapes
 
     def arch_hash(self) -> str:
@@ -210,60 +355,3 @@ class NetworkArch:
                 )
         return NetworkArch(kept, self.input_shape, self.num_classes)
 
-
-def _out_shape(spec: LayerSpec, ins: list[tuple]) -> tuple:
-    kind = spec.kind
-    lid = spec.id
-    if kind == "residual-add":
-        a, b = ins
-        if a != b:
-            raise ConfigurationError(
-                f"layer {lid}: residual-add inputs have shapes {a} and {b}"
-            )
-        return a
-    (shape,) = ins
-    if kind == "conv2d":
-        if len(shape) != 3:
-            raise ConfigurationError(f"layer {lid}: conv2d needs a (C,H,W) input, got {shape}")
-        c, h, w = shape
-        if c != spec.in_channels:
-            raise ConfigurationError(
-                f"layer {lid}: conv2d expects {spec.in_channels} input channels, got {c}"
-            )
-        ho = (h + 2 * spec.padding - spec.kernel) // spec.stride + 1
-        wo = (w + 2 * spec.padding - spec.kernel) // spec.stride + 1
-        if ho < 1 or wo < 1:
-            raise ConfigurationError(f"layer {lid}: conv2d output would be empty")
-        return (spec.out_channels, ho, wo)
-    if kind == "linear":
-        if len(shape) != 1:
-            raise ConfigurationError(
-                f"layer {lid}: linear needs a flat input, got {shape} (missing flatten?)"
-            )
-        (f,) = shape
-        if f != spec.in_channels:
-            raise ConfigurationError(
-                f"layer {lid}: linear expects {spec.in_channels} features, got {f}"
-            )
-        return (spec.out_channels,)
-    if kind in ("relu", "batchnorm"):
-        return shape
-    if kind == "flatten":
-        n = 1
-        for s in shape:
-            n *= s
-        return (n,)
-    if kind in ("maxpool", "avgpool"):
-        if len(shape) != 3:
-            raise ConfigurationError(f"layer {lid}: {kind} needs a (C,H,W) input")
-        c, h, w = shape
-        k = spec.kernel
-        if k == 0:  # global pooling
-            return (c, 1, 1)
-        s = spec.stride if spec.stride else k
-        ho = (h - k) // s + 1
-        wo = (w - k) // s + 1
-        if ho < 1 or wo < 1:
-            raise ConfigurationError(f"layer {lid}: {kind} output would be empty")
-        return (c, ho, wo)
-    raise ConfigurationError(f"layer {lid}: unknown kind {kind!r}")

@@ -13,13 +13,7 @@ import numpy as np
 
 from adq.errors import ConfigurationError, InputError, UsageError
 from adq.nn import layers as L
-from adq.nn.arch import NetworkArch
-
-TRAINABLE = {
-    "conv2d": ("w", "b"),
-    "linear": ("w", "b"),
-    "batchnorm": ("gamma", "beta"),
-}
+from adq.nn.arch import KINDS, NetworkArch
 
 
 @dataclass
@@ -32,42 +26,18 @@ class TrainState:
     rng_seed: int
     rng: np.random.Generator
 
-    def clone_arrays(self):
-        return {
-            lid: {k: a.copy() for k, a in params.items()}
-            for lid, params in self.weights.items()
-        }
-
 
 def init_state(arch: NetworkArch, seed: int) -> TrainState:
     rng = np.random.Generator(np.random.PCG64(seed))
+    shapes = arch.infer_shapes()
     weights, m, v = {}, {}, {}
-    shapes = None  # inferred on the first batchnorm layer
     for spec in arch.layers:
-        if spec.kind == "conv2d":
-            fan_in = spec.in_channels * spec.kernel * spec.kernel
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                           (spec.out_channels, spec.in_channels,
-                            spec.kernel, spec.kernel))
-            weights[spec.id] = {"w": w, "b": np.zeros(spec.out_channels)}
-        elif spec.kind == "linear":
-            w = rng.normal(0.0, np.sqrt(2.0 / spec.in_channels),
-                           (spec.out_channels, spec.in_channels))
-            weights[spec.id] = {"w": w, "b": np.zeros(spec.out_channels)}
-        elif spec.kind == "batchnorm":
-            if shapes is None:
-                shapes = arch.infer_shapes()
-            c = shapes[spec.id][0]
-            weights[spec.id] = {
-                "gamma": np.ones(c),
-                "beta": np.zeros(c),
-                "running_mean": np.zeros(c),
-                "running_var": np.ones(c),
-            }
-    for lid, params in weights.items():
-        kind = arch.layer(lid).kind
-        m[lid] = {k: np.zeros_like(params[k]) for k in TRAINABLE.get(kind, ())}
-        v[lid] = {k: np.zeros_like(params[k]) for k in TRAINABLE.get(kind, ())}
+        kind = KINDS[spec.kind]
+        if kind.init is None:
+            continue
+        params = weights[spec.id] = kind.init(spec, shapes[spec.id], rng)
+        m[spec.id] = {k: np.zeros_like(params[k]) for k in kind.trainable}
+        v[spec.id] = {k: np.zeros_like(params[k]) for k in kind.trainable}
     return TrainState(weights=weights, m=m, v=v, step=0, epoch=0,
                       rng_seed=seed, rng=rng)
 
@@ -76,7 +46,8 @@ def init_state(arch: NetworkArch, seed: int) -> TrainState:
 class ForwardCache:
     arch_hash: str
     training: bool
-    entries: dict = field(default_factory=dict)  # layer id -> per-layer cache
+    # layer id -> (input ids, kernel cache, per-input STE masks, weight mask)
+    entries: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)  # layer id -> output array
     batch: np.ndarray | None = None
 
@@ -104,59 +75,29 @@ def forward(arch: NetworkArch, state: TrainState, batch, hooks=(),
     raw_observers = set(raw_observers)
 
     for spec in arch.layers:
+        kind = KINDS[spec.kind]
         srcs = arch.input_ids(spec.id)
-        entry = {"kind": spec.kind, "srcs": srcs}
-        if spec.kind == "residual-add":
-            main = outputs[srcs[0]]
-            skip = outputs[srcs[1]]
-            if quantizer is not None:
-                skip, smask = quantizer.skip_activation(spec.id, skip)
-                entry["skip_mask"] = smask
-            out, _ = L.add_forward(main, skip)
-        else:
-            x = outputs[srcs[0]]
-            if spec.kind in ("conv2d", "linear"):
-                if quantizer is not None:
-                    x, in_mask = quantizer.activation(spec.id, x)
-                    entry["in_mask"] = in_mask
-                params = state.weights[spec.id]
-                w = params["w"]
-                if quantizer is not None:
-                    w, w_mask = quantizer.weight(spec.id, w)
-                    entry["w_mask"] = w_mask
-                if spec.kind == "conv2d":
-                    out, kc = L.conv2d_forward(x, w, params["b"],
-                                               spec.stride, spec.padding)
-                else:
-                    out, kc = L.linear_forward(x, w, params["b"])
-                entry["cache"] = kc
-            elif spec.kind == "relu":
-                out, kc = L.relu_forward(x)
-                entry["cache"] = kc
-                for hook in hooks:
-                    hook(spec.id, out)
-            elif spec.kind == "maxpool":
-                out, kc = L.maxpool_forward(x, spec.kernel, spec.stride)
-                entry["cache"] = kc
-            elif spec.kind == "avgpool":
-                out, kc = L.avgpool_forward(x, spec.kernel, spec.stride)
-                entry["cache"] = kc
-            elif spec.kind == "flatten":
-                out, kc = L.flatten_forward(x)
-                entry["cache"] = kc
-            elif spec.kind == "batchnorm":
-                p = state.weights[spec.id]
-                out, kc = L.batchnorm_forward(
-                    x, p["gamma"], p["beta"],
-                    p["running_mean"], p["running_var"], training)
-                entry["cache"] = kc
-            else:
-                raise ConfigurationError(f"layer {spec.id}: unknown kind {spec.kind}")
+        xs = [outputs[src] for src in srcs]
+        masks = [None] * len(xs)
+        params = [state.weights[spec.id][name] for name in kind.params]
+        w_mask = None
+        if quantizer is not None:
+            if kind.weighted:
+                xs[0], masks[0] = quantizer.activation(spec.id, xs[0])
+                params[0], w_mask = quantizer.weight(spec.id, params[0])
+            elif kind.inputs == 2:
+                xs[1], masks[1] = quantizer.skip_activation(spec.id, xs[1])
+        # looked up per call, so a rebound kernel attribute is honoured
+        out, kc = getattr(L, f"{kind.kernel}_forward")(
+            *xs, *params, *kind.args(spec, training))
+        if kind.observed:
+            for hook in hooks:
+                hook(spec.id, out)
         if spec.id in raw_observers:
             for hook in hooks:
                 hook(spec.id, out)
         outputs[spec.id] = out
-        cache.entries[spec.id] = entry
+        cache.entries[spec.id] = (srcs, kc, masks, w_mask)
 
     logits = outputs[arch.layers[-1].id]
     return logits, cache
@@ -189,38 +130,19 @@ def backward(arch: NetworkArch, state: TrainState, cache: ForwardCache,
         gout = gmap.get(spec.id)
         if gout is None:
             continue  # dead branch (no consumer contributed gradient)
-        entry = cache.entries[spec.id]
-        srcs = entry["srcs"]
-        if spec.kind == "residual-add":
-            gmain, gskip = L.add_backward(None, gout)
-            smask = entry.get("skip_mask")
-            if smask is not None:
-                gskip = gskip * smask
-            route(srcs[0], gmain)
-            route(srcs[1], gskip)
-            continue
-        if spec.kind in ("conv2d", "linear"):
-            bwd = L.conv2d_backward if spec.kind == "conv2d" else L.linear_backward
-            gin, pg = bwd(entry["cache"], gout)
-            wmask = entry.get("w_mask")
-            if wmask is not None:
-                pg["w"] = pg["w"] * wmask
-            inmask = entry.get("in_mask")
-            if inmask is not None:
-                gin = gin * inmask
-            grads[spec.id] = pg
-        elif spec.kind == "relu":
-            gin, _ = L.relu_backward(entry["cache"], gout)
-        elif spec.kind == "maxpool":
-            gin, _ = L.maxpool_backward(entry["cache"], gout)
-        elif spec.kind == "avgpool":
-            gin, _ = L.avgpool_backward(entry["cache"], gout)
-        elif spec.kind == "flatten":
-            gin, _ = L.flatten_backward(entry["cache"], gout)
-        elif spec.kind == "batchnorm":
-            gin, pg = L.batchnorm_backward(entry["cache"], gout)
-            grads[spec.id] = pg
-        route(srcs[0], gin)
+        kind = KINDS[spec.kind]
+        srcs, kc, masks, w_mask = cache.entries[spec.id]
+        gin, pg = getattr(L, f"{kind.kernel}_backward")(kc, gout)
+        if kind.inputs == 2:  # the add kernel returns (main, skip) gradients
+            gins = (gin, pg)
+        else:
+            gins = (gin,)
+            if w_mask is not None:
+                pg["w"] = pg["w"] * w_mask
+            if kind.trainable:
+                grads[spec.id] = pg
+        for src, g, mask in zip(srcs, gins, masks):
+            route(src, g if mask is None else g * mask)
 
     return grads, gmap.get(-1)
 

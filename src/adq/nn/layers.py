@@ -31,7 +31,33 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from adq.errors import ConfigurationError
+
 BN_EPS = 1e-5
+
+
+# ------------------------------------------------------------------- geometry
+# Shape inference (``adq.nn.arch``) sizes layers with these same helpers.
+
+def conv_output_size(h, w, kernel, stride, padding):
+    """(Ho, Wo) of a convolution over an h x w map."""
+    return ((h + 2 * padding - kernel) // stride + 1,
+            (w + 2 * padding - kernel) // stride + 1)
+
+
+def pool_geometry(h, w, kernel, stride):
+    """(window, stride, Ho, Wo) of pooling over an h x w map.
+
+    kernel 0 is global pooling, which needs a square map; stride 0 steps by
+    the window.
+    """
+    if kernel == 0:
+        if h != w:
+            raise ConfigurationError(
+                f"global pooling needs a square map, got {h}x{w}")
+        kernel = stride = h
+    stride = stride or kernel
+    return kernel, stride, (h - kernel) // stride + 1, (w - kernel) // stride + 1
 
 
 # ---------------------------------------------------------------- convolution
@@ -39,8 +65,7 @@ BN_EPS = 1e-5
 def _patch_rows(x: np.ndarray, kernel: int, stride: int, padding: int):
     """Patch rows of x and the output size (see the module docstring)."""
     b, c, h, w = x.shape
-    ho = (h + 2 * padding - kernel) // stride + 1
-    wo = (w + 2 * padding - kernel) // stride + 1
+    ho, wo = conv_output_size(h, w, kernel, stride, padding)
     if padding:
         xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
         xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
@@ -133,18 +158,8 @@ def relu_backward(cache, gout):
 
 # -------------------------------------------------------------------- pooling
 
-def _pool_geometry(x, kernel, stride):
-    b, c, h, w = x.shape
-    if kernel == 0:  # global pooling
-        kernel, stride = h, h
-    s = stride if stride else kernel
-    ho = (h - kernel) // s + 1
-    wo = (w - kernel) // s + 1
-    return kernel, s, ho, wo
-
-
 def maxpool_forward(x, kernel, stride=0):
-    k, s, ho, wo = _pool_geometry(x, kernel, stride)
+    k, s, ho, wo = pool_geometry(*x.shape[2:], kernel, stride)
     b, c = x.shape[:2]
     best = np.full((b, c, ho, wo), -np.inf, dtype=x.dtype)
     arg = np.zeros((b, c, ho, wo), dtype=np.min_scalar_type(k * k - 1))
@@ -170,7 +185,7 @@ def maxpool_backward(cache, gout):
 
 
 def avgpool_forward(x, kernel, stride=0):
-    k, s, ho, wo = _pool_geometry(x, kernel, stride)
+    k, s, ho, wo = pool_geometry(*x.shape[2:], kernel, stride)
     b, c = x.shape[:2]
     acc = np.zeros((b, c, ho, wo), dtype=x.dtype)
     for i in range(k):

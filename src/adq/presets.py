@@ -208,8 +208,7 @@ class Preset:
             arch = build_vgg19(self.num_classes, self.input_size)
             if self.removed_convs:
                 doomed = []
-                convs = [l.id for l in arch.layers if l.kind == "conv2d"]
-                for cid in convs[-self.removed_convs:]:
+                for cid in arch.conv_ids()[-self.removed_convs:]:
                     pos = arch.position(cid)
                     doomed.append(cid)
                     for nxt in arch.layers[pos + 1:pos + 3]:

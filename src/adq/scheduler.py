@@ -18,7 +18,7 @@ import numpy as np
 
 from adq.admon import ADHistory, observation_points
 from adq.errors import ConfigurationError, InputError, TrainingDiverged
-from adq.nn.arch import NetworkArch, WEIGHTED_KINDS
+from adq.nn.arch import NetworkArch
 from adq.nn import engine
 from adq.nn.checkpoint import save_checkpoint
 from adq.nn.data import iter_batches
@@ -53,7 +53,7 @@ class PruneState:
 
     @classmethod
     def initial(cls, arch: NetworkArch) -> "PruneState":
-        ch = {l.id: l.out_channels for l in arch.layers if l.kind == "conv2d"}
+        ch = {i: arch.layer(i).out_channels for i in arch.conv_ids()}
         return cls(channels=dict(ch), initial_channels=dict(ch))
 
     def copy(self) -> "PruneState":
@@ -176,7 +176,7 @@ def skip_topology(arch: NetworkArch) -> dict:
         skip_convs = []
         cur = skip_src
         while cur not in main_anc and cur != -1:
-            if arch.layer(cur).kind in WEIGHTED_KINDS:
+            if arch.layer(cur).weighted:
                 skip_convs.append(cur)
             cur = arch.input_ids(cur)[0]
         info[spec.id] = {"destination": dest, "skip_convs": skip_convs}
@@ -196,7 +196,7 @@ def _ancestry(arch, layer_id):
 def _weighted_ancestor(arch, layer_id):
     cur = layer_id
     while cur != -1:
-        if arch.layer(cur).kind in WEIGHTED_KINDS:
+        if arch.layer(cur).weighted:
             return cur
         cur = arch.input_ids(cur)[0]
     return None
@@ -286,8 +286,7 @@ def rebuild_pruned(arch: NetworkArch, state: engine.TrainState,
             out_sel[spec.id] = sel
         elif spec.kind == "linear":
             in_sel = out_sel[srcs[0]]
-            in_shape = shapes[srcs[0]] if srcs[0] != -1 else arch.input_shape
-            if len(in_shape) == 1:
+            if len(shapes[srcs[0]]) == 1:
                 feats = _linear_feature_selection(arch, spec.id, in_sel, shapes)
             else:
                 feats = in_sel
@@ -318,7 +317,6 @@ def rebuild_pruned(arch: NetworkArch, state: engine.TrainState,
 
 def _linear_feature_selection(arch, linear_id, channel_sel, shapes):
     """Map kept channels through a flatten into linear feature indices."""
-    pos = arch.position(linear_id)
     src = arch.input_ids(linear_id)[0]
     # walk back to the flatten's (C, H, W) input
     spec = arch.layer(src)
@@ -403,12 +401,7 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
     epoch_global = 0
 
     for it in range(1, config.max_iters + 1):
-        eff = propagate_skip_bitwidths(arch, assignment)
-        quantizer = NetworkQuantizer(
-            bits=eff["layer_bits"], exempt=assignment.exempt,
-            skip_bits=eff["skip_edge_bits"], act_mode=config.act_range_mode,
-            ema_decay=config.ema_decay,
-            trackers=quantizer.trackers if quantizer else {})
+        quantizer = _build_quantizer(arch, assignment, config, quantizer)
         obs = _iteration_observers(arch)
         iter_epochs = []
         epochs_done = 0
@@ -467,12 +460,7 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
         assignment, prune_state = new_assignment, new_prune
 
     # final convergence phase at the fixed assignment
-    eff = propagate_skip_bitwidths(arch, assignment)
-    quantizer = NetworkQuantizer(
-        bits=eff["layer_bits"], exempt=assignment.exempt,
-        skip_bits=eff["skip_edge_bits"], act_mode=config.act_range_mode,
-        ema_decay=config.ema_decay,
-        trackers=quantizer.trackers if quantizer else {})
+    quantizer = _build_quantizer(arch, assignment, config, quantizer)
     obs = _iteration_observers(arch)
     for _ in range(config.final_convergence_epochs):
         epoch_global += 1
@@ -487,6 +475,17 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
                                          dataset.y_test, quantizer)
     return ScheduleResult(arch, state, assignment, prune_state, log, history,
                           quantizer)
+
+
+def _build_quantizer(arch, assignment, config, previous):
+    """The quantizer for one phase; activation ranges carry over from the
+    previous phase's quantizer, if any."""
+    eff = propagate_skip_bitwidths(arch, assignment)
+    return NetworkQuantizer(
+        bits=eff["layer_bits"], exempt=assignment.exempt,
+        skip_bits=eff["skip_edge_bits"], act_mode=config.act_range_mode,
+        ema_decay=config.ema_decay,
+        trackers=previous.trackers if previous else {})
 
 
 def _iteration_observers(arch: NetworkArch):
@@ -504,7 +503,7 @@ def _iteration_observers(arch: NetworkArch):
     raw_ids = {obs
                for wid, (obs, is_relu) in points.items()
                if not is_relu and wid in on_main}
-    conv_ids = {l.id for l in arch.layers if l.kind == "conv2d"}
+    conv_ids = set(arch.conv_ids())
     chan_nonzero = {}
     chan_total = {}
 

@@ -1,6 +1,9 @@
 """Energy model unit tests: counting formulas, both cost models,
 training complexity, and model invariants."""
 
+from dataclasses import replace
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,9 @@ from adq.energy import (ANALYTICAL_TABLE, LayerShape,
                         mem_accesses, pim_network_energy, pim_round_bits,
                         training_complexity)
 from adq.errors import InputError
+from adq.nn.arch import NetworkArch
 from adq.presets import build_toy_cnn, build_vgg19
+from adq.presets import PRESETS
 from adq.scheduler import BitWidthAssignment
 
 
@@ -202,3 +207,40 @@ class TestTrainingComplexity:
             tc = training_complexity(iters, base)
             plain = sum(e for _, e in iters) / base
             assert tc < plain
+
+
+def _resized(arch, channels):
+    """`arch` rebuilt with its convs at `channels`, every in-channel and
+    feature count carried through by hand (spatial sizes do not depend on
+    channel counts)."""
+    spatial = arch.infer_shapes()
+    width = {-1: arch.input_shape[0]}
+    layers = []
+    for spec in arch.layers:
+        src = arch.input_ids(spec.id)[0]
+        if spec.kind == "conv2d":
+            spec = replace(spec, in_channels=width[src],
+                           out_channels=channels.get(spec.id, spec.out_channels))
+        elif spec.kind == "linear":
+            spec = replace(spec, in_channels=width[src])
+        if spec.kind in ("conv2d", "linear"):
+            width[spec.id] = spec.out_channels
+        elif spec.kind == "flatten":
+            width[spec.id] = width[src] * prod(spatial[src][1:])
+        else:
+            width[spec.id] = width[src]
+        layers.append(spec)
+    # full validation: residual-adds must see matching shapes
+    return NetworkArch(layers, arch.input_shape, arch.num_classes)
+
+
+class TestChannelOverrides:
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, p in PRESETS.items() if p.channels))
+    def test_overrides_match_the_resized_architecture(self, name):
+        preset = PRESETS[name]
+        arch = preset.build_arch()
+        channels = preset.channel_assignment(arch)
+        got = layer_shapes(arch, channels)
+        assert got == layer_shapes(_resized(arch, channels))
+        assert any(s.o != t.o for s, t in zip(got, layer_shapes(arch)))

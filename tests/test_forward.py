@@ -7,6 +7,7 @@ from adq.errors import ConfigurationError
 from adq.nn import layers as L
 from adq.nn.arch import LayerSpec, NetworkArch
 from adq.nn.engine import forward, init_state
+from adq.presets import build_toy_cnn
 
 from oracles import naive_avgpool, naive_conv2d, naive_linear, naive_maxpool
 
@@ -53,6 +54,20 @@ class TestPoolKernels:
         out, _ = L.avgpool_forward(x, 0)
         assert out.shape == (2, 4, 1, 1)
         assert np.allclose(out[..., 0, 0], x.mean(axis=(2, 3)))
+
+
+class TestGlobalPooling:
+    def test_non_square_map_rejected_when_built(self):
+        # global pooling of a 4x8 map would feed the classifier 2x the
+        # features it was built for
+        with pytest.raises(ConfigurationError, match="square"):
+            build_toy_cnn(image_shape=(1, 8, 16))
+
+    def test_kernels_reject_non_square_global_pooling(self):
+        x = np.zeros((1, 2, 4, 8))
+        for kernel in (L.maxpool_forward, L.avgpool_forward):
+            with pytest.raises(ConfigurationError, match="square"):
+                kernel(x, 0)
 
 
 class TestLinearKernel:
