@@ -4,9 +4,10 @@ inference, JSON I/O.
 ``KINDS`` is the one place that defines a layer kind. Its entry says which
 spec fields the kind reads, how it transforms its input shape, which
 parameters it holds, trains and how they are initialised, and which kernel
-pair in ``adq.nn.layers`` runs it. Spec validation, ``infer_shapes``, the
-engine's ``init_state``/``forward``/``backward`` and the energy model all
-read it; a new kind is added there and nowhere else.
+pair in ``adq.nn.layers`` runs it, and how it carries surviving channels
+through a pruning rebuild. Spec validation, ``infer_shapes``, the engine's
+``init_state``/``forward``/``backward``, the energy model and pruning's
+``rebuild_pruned`` all read it; a new kind is added there and nowhere else.
 
 A network is an ordered list of layers. Each layer consumes the output of the
 previous layer unless it carries a ``skip_source``:
@@ -95,6 +96,41 @@ def _add_shape(spec, ins, channels):
     return a
 
 
+# Selection rules carry pruning through the network: they take (spec, input
+# selections, input shapes, kept, channels) and return the indices of the
+# layer's original output channels (or features) that survive. `kept` maps a
+# conv id to the channel indices it keeps; a conv without an entry keeps its
+# first channels[id] channels.
+
+def _pass_selection(spec, sels, shapes, kept, channels):
+    return sels[0]
+
+
+def _conv_selection(spec, sels, shapes, kept, channels):
+    if spec.id in kept:
+        return kept[spec.id]
+    return list(range(channels[spec.id]))
+
+
+def _linear_selection(spec, sels, shapes, kept, channels):
+    return list(range(spec.out_channels))
+
+
+def _flat_selection(spec, sels, shapes, kept, channels):
+    per = math.prod(shapes[0][1:])  # features per channel
+    return [c * per + j for c in sels[0] for j in range(per)]
+
+
+def _add_selection(spec, sels, shapes, kept, channels):
+    main, skip = sels
+    if len(main) != len(skip):
+        raise ConfigurationError(
+            f"layer {spec.id} (residual-add): channel counts diverge "
+            f"({len(main)} vs {len(skip)}); pruning a skip connection "
+            "requires a projection convolution")
+    return main
+
+
 def _he_weights(wshape, rng):
     """He-normal weights (fan-in: every axis but the first) and a zero bias."""
     return {"w": rng.normal(0.0, np.sqrt(2.0 / math.prod(wshape[1:])), wshape),
@@ -135,6 +171,8 @@ class LayerKind:
     init: Callable | None = None  # (spec, output shape, rng) -> parameters
     weighted: bool = False  # quantized weights and input; costed by energy
     observed: bool = False  # output reported to forward hooks (AD sites)
+    # (spec, input selections, input shapes, kept, channels) -> selection
+    select: Callable = _pass_selection
 
 
 _CHANNEL_READS = (("in_channels", 1), ("out_channels", 1))
@@ -146,18 +184,19 @@ KINDS = {
         args=lambda spec, training: (spec.stride, spec.padding),
         reads=_CHANNEL_READS + (("kernel", 1), ("stride", 1), ("padding", 0)),
         params=("w", "b"), trainable=("w", "b"), init=_conv_init,
-        weighted=True),
+        weighted=True, select=_conv_selection),
     "linear": LayerKind(
         _linear_shape, "linear", reads=_CHANNEL_READS,
         params=("w", "b"), trainable=("w", "b"), init=_linear_init,
-        weighted=True),
+        weighted=True, select=_linear_selection),
     "relu": LayerKind(_same_shape, "relu", observed=True),
     "maxpool": LayerKind(_pool_shape, "maxpool", args=_pool_args,
                          reads=_POOL_READS),
     "avgpool": LayerKind(_pool_shape, "avgpool", args=_pool_args,
                          reads=_POOL_READS),
-    "flatten": LayerKind(_flat_shape, "flatten"),
-    "residual-add": LayerKind(_add_shape, "add", inputs=2),
+    "flatten": LayerKind(_flat_shape, "flatten", select=_flat_selection),
+    "residual-add": LayerKind(_add_shape, "add", inputs=2,
+                              select=_add_selection),
     "batchnorm": LayerKind(
         _same_shape, "batchnorm", args=lambda spec, training: (training,),
         params=("gamma", "beta", "running_mean", "running_var"),
@@ -315,12 +354,13 @@ class NetworkArch:
                 LayerSpec(
                     id=int(r["id"]),
                     kind=r["kind"],
-                    in_channels=int(r.get("in_channels", 0) or 0),
-                    out_channels=int(r.get("out_channels", 0) or 0),
-                    kernel=int(r.get("kernel", 0) or 0),
-                    stride=int(r.get("stride", 1) or 1),
-                    padding=int(r.get("padding", 0) or 0),
-                    skip_source=r.get("skip_source"),
+                    in_channels=int(r.get("in_channels", 0)),
+                    out_channels=int(r.get("out_channels", 0)),
+                    kernel=int(r.get("kernel", 0)),
+                    stride=int(r.get("stride", 1)),
+                    padding=int(r.get("padding", 0)),
+                    skip_source=(None if r.get("skip_source") is None
+                                 else int(r["skip_source"])),
                 )
                 for r in d["layers"]
             ]

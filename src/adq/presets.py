@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from adq.errors import InputError
 from adq.nn.arch import LayerSpec, NetworkArch
-from adq.scheduler import main_chain_weighted_ids, skip_topology
+from adq.scheduler import inherit_from_destinations, main_chain_weighted_ids
 
 VGG19_PLAN = (64, 64, "M", 128, 128, "M", 256, 256, 256, 256, "M",
               512, 512, 512, 512, "M", 512, 512, 512, 512, "M")
@@ -164,10 +164,7 @@ def assignment_map(arch: NetworkArch, main_bits) -> dict:
         raise InputError(
             f"bit list has {len(main_bits)} entries for {len(main_ids)} layers")
     bits = dict(zip(main_ids, main_bits))
-    for t in skip_topology(arch).values():
-        for cid in t["skip_convs"]:
-            bits[cid] = bits[t["destination"]]
-    return bits
+    return inherit_from_destinations(arch, bits)
 
 
 def channel_map(arch: NetworkArch, conv_channels) -> dict:
@@ -180,12 +177,7 @@ def channel_map(arch: NetworkArch, conv_channels) -> dict:
             f"channel list has {len(conv_channels)} entries for "
             f"{len(main_convs)} conv layers")
     channels = dict(zip(main_convs, conv_channels))
-    for t in skip_topology(arch).values():
-        dest = t["destination"]
-        for cid in t["skip_convs"]:
-            if dest in channels:
-                channels[cid] = channels[dest]
-    return channels
+    return inherit_from_destinations(arch, channels)
 
 
 # ------------------------------------------------------------------ catalog

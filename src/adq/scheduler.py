@@ -7,7 +7,9 @@ follow C_l <- round(C_initial_l * AD_l) clamped to >= 1. The first weighted
 layer and the final fully-connected layer are exempt from bit-width changes.
 Layers on residual skip paths carry no densities of their own: their
 bit-widths and channel counts are inherited from the destination layer of
-the skip connection.
+the skip connection (``inherit_from_destinations``). The rule is applied
+where assignments are made, so every reader of an assignment (the
+quantizer, energy reports, checkpoints and logs) sees the inherited values.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ import numpy as np
 
 from adq.admon import ADHistory, observation_points
 from adq.errors import ConfigurationError, InputError, TrainingDiverged
-from adq.nn.arch import NetworkArch
+from adq.nn.arch import KINDS, NetworkArch
 from adq.nn import engine
 from adq.nn.checkpoint import save_checkpoint
 from adq.nn.data import iter_batches
-from adq.quant import MAX_BITS, NetworkQuantizer, round_half_away
+from adq.quant import MAX_BITS, NetworkQuantizer, RangeTracker, round_half_away
 
 
 # ------------------------------------------------------------------- state
@@ -86,6 +88,14 @@ class ScheduleConfig:
             raise ConfigurationError("saturation window must be >= 2")
         if self.epoch_budget < self.saturation_window:
             raise ConfigurationError("epoch budget smaller than saturation window")
+        if self.batch_size < 1:
+            raise ConfigurationError("batch_size must be >= 1")
+        if self.network_ad_mode not in ("pooled", "mean"):
+            raise ConfigurationError(
+                f"network_ad_mode must be 'pooled' or 'mean', got "
+                f"{self.network_ad_mode!r}")
+        # the quantizer's trackers are built from these two fields
+        RangeTracker(self.act_range_mode, self.ema_decay)
 
 
 def default_exempt(arch: NetworkArch) -> frozenset:
@@ -138,11 +148,13 @@ def update_channels(prune_state: PruneState,
 
 def select_pruned_channels(prune_state: PruneState,
                            per_channel_scores: dict) -> dict:
-    """Keep the C_l highest-scoring channels per layer; ties prefer the lower
-    channel index. Returns {layer_id: sorted kept index list}."""
+    """Keep the C_l highest-scoring channels of each scored layer; ties
+    prefer the lower channel index. Returns {layer_id: sorted kept index
+    list}."""
     kept = {}
-    for lid, target in prune_state.channels.items():
-        scores = np.asarray(per_channel_scores[lid], dtype=np.float64)
+    for lid, scores in per_channel_scores.items():
+        target = prune_state.channels[lid]
+        scores = np.asarray(scores, dtype=np.float64)
         if target > scores.size:
             raise RuntimeError(
                 f"layer {lid}: want {target} channels, only {scores.size} exist")
@@ -202,6 +214,19 @@ def _weighted_ancestor(arch, layer_id):
     return None
 
 
+def inherit_from_destinations(arch: NetworkArch, values: dict) -> dict:
+    """The skip-connection rule: a copy of `values` ({layer id: bit-width or
+    channel count}) in which every skip-path convolution takes the value of
+    its skip connection's destination layer. Skip convs whose destination
+    has no value keep their own."""
+    out = dict(values)
+    for t in skip_topology(arch).values():
+        if t["destination"] in out:
+            for cid in t["skip_convs"]:
+                out[cid] = out[t["destination"]]
+    return out
+
+
 def propagate_skip_bitwidths(arch: NetworkArch,
                              assignment: BitWidthAssignment) -> dict:
     """Effective bit-widths after applying the skip-connection rule.
@@ -211,14 +236,9 @@ def propagate_skip_bitwidths(arch: NetworkArch,
     activation entering a residual-add via the skip branch is quantized at
     the destination bit-width.
     """
-    topo = skip_topology(arch)
-    layer_bits = dict(assignment.k)
-    edge_bits = {}
-    for add_id, t in topo.items():
-        dest_k = layer_bits[t["destination"]]
-        edge_bits[add_id] = dest_k
-        for cid in t["skip_convs"]:
-            layer_bits[cid] = dest_k
+    layer_bits = inherit_from_destinations(arch, assignment.k)
+    edge_bits = {add_id: layer_bits[t["destination"]]
+                 for add_id, t in skip_topology(arch).items()}
     return {"layer_bits": layer_bits, "skip_edge_bits": edge_bits}
 
 
@@ -237,72 +257,35 @@ def rebuild_pruned(arch: NetworkArch, state: engine.TrainState,
                    prune_state: PruneState, kept: dict):
     """Build a new architecture/state with only the kept channels.
 
-    Surviving channels carry their weights; input slices corresponding to
-    removed upstream channels are dropped. Residual-add inputs must keep
-    matching channel counts, which holds when every skip edge carries a
-    projection convolution tied to the destination layer.
+    One pass over the layers maps each layer's input selection to its own
+    with its kind's selection rule (``arch.KINDS``): a conv keeps kept[id],
+    or without a kept entry its first prune_state.channels[id] channels; a
+    flatten expands channels into features; a linear layer keeps every
+    output; a residual-add requires equal input lengths, which holds when
+    every skip edge carries a projection convolution whose count was
+    inherited from the destination layer. Parameters are sliced on axis 0
+    by the layer's selection, and a weighted layer's "w" also on axis 1 by
+    its input's.
     """
-    topo = skip_topology(arch)
-    # force skip-path convs to mirror their destination's kept set size
-    kept = dict(kept)
-    for add_id, t in topo.items():
-        dsel = kept.get(t["destination"])
-        for cid in t["skip_convs"]:
-            if dsel is None:
-                continue
-            own = kept.get(cid, list(range(arch.layer(cid).out_channels)))
-            if len(own) != len(dsel):
-                own = own[:len(dsel)]
-                if len(own) < len(dsel):
-                    pool = [i for i in range(arch.layer(cid).out_channels)
-                            if i not in own]
-                    own = sorted(own + pool[:len(dsel) - len(own)])
-            kept[cid] = own
-
-    out_sel: dict[int, list] = {-1: list(range(arch.input_shape[0]))}
+    shapes = arch.infer_shapes()
+    sels: dict[int, list] = {-1: list(range(arch.input_shape[0]))}
     new_layers = []
     new_weights = {}
-    shapes = arch.infer_shapes()
-
     for spec in arch.layers:
+        kind = KINDS[spec.kind]
         srcs = arch.input_ids(spec.id)
-        new_spec = spec
-        if spec.kind == "residual-add":
-            main_sel, skip_sel = out_sel[srcs[0]], out_sel[srcs[1]]
-            if len(main_sel) != len(skip_sel):
-                raise ConfigurationError(
-                    f"layer {spec.id}: residual-add channel counts diverge "
-                    f"({len(main_sel)} vs {len(skip_sel)}); pruning a skip "
-                    "connection requires a projection convolution")
-            out_sel[spec.id] = main_sel
-        elif spec.kind == "conv2d":
-            in_sel = out_sel[srcs[0]]
-            sel = kept.get(spec.id, list(range(spec.out_channels)))
-            w = state.weights[spec.id]["w"][np.ix_(sel, in_sel)]
-            b = state.weights[spec.id]["b"][sel]
-            new_spec = replace(spec, in_channels=len(in_sel),
-                               out_channels=len(sel))
-            new_weights[spec.id] = {"w": w.copy(), "b": b.copy()}
-            out_sel[spec.id] = sel
-        elif spec.kind == "linear":
-            in_sel = out_sel[srcs[0]]
-            if len(shapes[srcs[0]]) == 1:
-                feats = _linear_feature_selection(arch, spec.id, in_sel, shapes)
-            else:
-                feats = in_sel
-            w = state.weights[spec.id]["w"][:, feats]
-            new_spec = replace(spec, in_channels=len(feats))
-            new_weights[spec.id] = {"w": w.copy(),
-                                    "b": state.weights[spec.id]["b"].copy()}
-            out_sel[spec.id] = list(range(spec.out_channels))
-        elif spec.kind == "batchnorm":
-            sel = out_sel[srcs[0]]
-            p = state.weights[spec.id]
-            new_weights[spec.id] = {k: p[k][sel].copy() for k in p}
-            out_sel[spec.id] = sel
-        else:
-            out_sel[spec.id] = out_sel[srcs[0]]
-        new_layers.append(new_spec)
+        ins = [sels[s] for s in srcs]
+        sel = kind.select(spec, ins, [shapes[s] for s in srcs], kept,
+                          prune_state.channels)
+        sels[spec.id] = sel
+        if kind.params:  # "w" is a weighted kind's (out, in, ...) array
+            new_weights[spec.id] = {
+                name: arr[np.ix_(sel, ins[0])] if name == "w" else arr[sel]
+                for name, arr in state.weights[spec.id].items()}
+        if kind.weighted:
+            spec = replace(spec, in_channels=len(ins[0]),
+                           out_channels=len(sel))
+        new_layers.append(spec)
 
     new_arch = NetworkArch(new_layers, arch.input_shape, arch.num_classes)
     new_state = engine.init_state(new_arch, state.rng_seed)
@@ -313,24 +296,6 @@ def rebuild_pruned(arch: NetworkArch, state: engine.TrainState,
         for name, arr in params.items():
             new_state.weights[lid][name] = arr
     return new_arch, new_state
-
-
-def _linear_feature_selection(arch, linear_id, channel_sel, shapes):
-    """Map kept channels through a flatten into linear feature indices."""
-    src = arch.input_ids(linear_id)[0]
-    # walk back to the flatten's (C, H, W) input
-    spec = arch.layer(src)
-    while spec.kind != "flatten":
-        src = arch.input_ids(src)[0]
-        if src == -1:
-            return channel_sel
-        spec = arch.layer(src)
-    c_, h_, w_ = shapes[arch.input_ids(spec.id)[0]]
-    per = h_ * w_
-    feats = []
-    for c in channel_sel:
-        feats.extend(range(c * per, (c + 1) * per))
-    return feats
 
 
 # ---------------------------------------------------------------- schedule
@@ -436,26 +401,21 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
                                history, record)
 
         new_assignment = update_bitwidths(assignment, ad)
+        new_assignment.k = inherit_from_destinations(arch, new_assignment.k)
         new_prune = prune_state
         if prune_state is not None:
             new_prune = update_channels(prune_state, ad,
                                         from_initial=config.prune_from_initial)
+            new_prune.channels = inherit_from_destinations(
+                arch, new_prune.channels)
         bits_fixed = new_assignment.k == assignment.k
         chans_fixed = prune_state is None or new_prune.channels == prune_state.channels
         if bits_fixed and chans_fixed:
             assignment = new_assignment
             break
         if prune_state is not None and not chans_fixed:
-            scores = obs["channel_scores"]()
-            scored = PruneState(
-                channels={l: new_prune.channels[l] for l in scores},
-                initial_channels={l: new_prune.initial_channels[l]
-                                  for l in scores})
-            kept = select_pruned_channels(scored, scores)
+            kept = select_pruned_channels(new_prune, obs["channel_scores"]())
             arch, state = rebuild_pruned(arch, state, new_prune, kept)
-            # skip-path convs were resized to match their destination
-            for cid in new_prune.channels:
-                new_prune.channels[cid] = arch.layer(cid).out_channels
             quantizer.trackers = {}  # channel identities changed
         assignment, prune_state = new_assignment, new_prune
 
@@ -482,7 +442,7 @@ def _build_quantizer(arch, assignment, config, previous):
     previous phase's quantizer, if any."""
     eff = propagate_skip_bitwidths(arch, assignment)
     return NetworkQuantizer(
-        bits=eff["layer_bits"], exempt=assignment.exempt,
+        bits=assignment.k, exempt=assignment.exempt,
         skip_bits=eff["skip_edge_bits"], act_mode=config.act_range_mode,
         ema_decay=config.ema_decay,
         trackers=previous.trackers if previous else {})

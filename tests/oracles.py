@@ -1,11 +1,21 @@
 """Independent reference implementations used as test oracles.
 
-Everything here shares no code with the package internals. Most of it is
-deliberately naive (nested loops, direct formulas); the einsum convolution
-kernels are the package's former kernels, kept as a bit-for-bit reference.
+Most of it shares no code with the package internals and is deliberately
+naive (nested loops, direct formulas). Two pieces are the package's former
+code, kept as a bit-for-bit reference: the einsum convolution kernels, and
+the pruning rebuild that mirrored skip-path convs onto their destinations
+and walked back from each linear layer to the flatten (it builds its result
+with the package's architecture and engine).
 """
 
+from dataclasses import replace
+
 import numpy as np
+
+from adq.errors import ConfigurationError
+from adq.nn import engine
+from adq.nn.arch import NetworkArch
+from adq.scheduler import PruneState, skip_topology
 
 
 def naive_conv2d(x, w, b, stride=1, padding=0):
@@ -184,3 +194,105 @@ def quantize_exact(x, k, lo, hi):
         out[it.multi_index] = level
         it.iternext()
     return out
+
+
+# ------------------------------------------------ former pruning rebuild
+
+def mirroring_rebuild_pruned(arch: NetworkArch, state: engine.TrainState,
+                             prune_state: PruneState, kept: dict):
+    """Build a new architecture/state with only the kept channels.
+
+    Surviving channels carry their weights; input slices corresponding to
+    removed upstream channels are dropped. Residual-add inputs must keep
+    matching channel counts, which holds when every skip edge carries a
+    projection convolution tied to the destination layer.
+    """
+    topo = skip_topology(arch)
+    # force skip-path convs to mirror their destination's kept set size
+    kept = dict(kept)
+    for add_id, t in topo.items():
+        dsel = kept.get(t["destination"])
+        for cid in t["skip_convs"]:
+            if dsel is None:
+                continue
+            own = kept.get(cid, list(range(arch.layer(cid).out_channels)))
+            if len(own) != len(dsel):
+                own = own[:len(dsel)]
+                if len(own) < len(dsel):
+                    pool = [i for i in range(arch.layer(cid).out_channels)
+                            if i not in own]
+                    own = sorted(own + pool[:len(dsel) - len(own)])
+            kept[cid] = own
+
+    out_sel: dict[int, list] = {-1: list(range(arch.input_shape[0]))}
+    new_layers = []
+    new_weights = {}
+    shapes = arch.infer_shapes()
+
+    for spec in arch.layers:
+        srcs = arch.input_ids(spec.id)
+        new_spec = spec
+        if spec.kind == "residual-add":
+            main_sel, skip_sel = out_sel[srcs[0]], out_sel[srcs[1]]
+            if len(main_sel) != len(skip_sel):
+                raise ConfigurationError(
+                    f"layer {spec.id}: residual-add channel counts diverge "
+                    f"({len(main_sel)} vs {len(skip_sel)}); pruning a skip "
+                    "connection requires a projection convolution")
+            out_sel[spec.id] = main_sel
+        elif spec.kind == "conv2d":
+            in_sel = out_sel[srcs[0]]
+            sel = kept.get(spec.id, list(range(spec.out_channels)))
+            w = state.weights[spec.id]["w"][np.ix_(sel, in_sel)]
+            b = state.weights[spec.id]["b"][sel]
+            new_spec = replace(spec, in_channels=len(in_sel),
+                               out_channels=len(sel))
+            new_weights[spec.id] = {"w": w.copy(), "b": b.copy()}
+            out_sel[spec.id] = sel
+        elif spec.kind == "linear":
+            in_sel = out_sel[srcs[0]]
+            if len(shapes[srcs[0]]) == 1:
+                feats = _linear_feature_selection(arch, spec.id, in_sel, shapes)
+            else:
+                feats = in_sel
+            w = state.weights[spec.id]["w"][:, feats]
+            new_spec = replace(spec, in_channels=len(feats))
+            new_weights[spec.id] = {"w": w.copy(),
+                                    "b": state.weights[spec.id]["b"].copy()}
+            out_sel[spec.id] = list(range(spec.out_channels))
+        elif spec.kind == "batchnorm":
+            sel = out_sel[srcs[0]]
+            p = state.weights[spec.id]
+            new_weights[spec.id] = {k: p[k][sel].copy() for k in p}
+            out_sel[spec.id] = sel
+        else:
+            out_sel[spec.id] = out_sel[srcs[0]]
+        new_layers.append(new_spec)
+
+    new_arch = NetworkArch(new_layers, arch.input_shape, arch.num_classes)
+    new_state = engine.init_state(new_arch, state.rng_seed)
+    new_state.rng = state.rng
+    new_state.epoch = state.epoch
+    # fresh Adam moments: the parameter space changed shape
+    for lid, params in new_weights.items():
+        for name, arr in params.items():
+            new_state.weights[lid][name] = arr
+    return new_arch, new_state
+
+
+def _linear_feature_selection(arch, linear_id, channel_sel, shapes):
+    """Map kept channels through a flatten into linear feature indices."""
+    src = arch.input_ids(linear_id)[0]
+    # walk back to the flatten's (C, H, W) input
+    spec = arch.layer(src)
+    while spec.kind != "flatten":
+        src = arch.input_ids(src)[0]
+        if src == -1:
+            return channel_sel
+        spec = arch.layer(src)
+    c_, h_, w_ = shapes[arch.input_ids(spec.id)[0]]
+    per = h_ * w_
+    feats = []
+    for c in channel_sel:
+        feats.extend(range(c * per, (c + 1) * per))
+    return feats

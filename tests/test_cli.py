@@ -95,6 +95,19 @@ class TestTrain:
                     initial[lid] * ad[(int(lid), epoch_end)] + 0.5)))
                 assert cur["channels"][lid] == want
 
+    @pytest.mark.parametrize("schedule", [
+        {"batch_size": 0},
+        {"network_ad_mode": "Mean"},
+        {"act_range_mode": "median"},
+        {"ema_decay": 1.5},
+    ])
+    def test_bad_schedule_field_rejected_at_load(self, tmp_path, capsys,
+                                                 schedule):
+        cfg_path, outdir = _write_config(tmp_path, {"schedule": schedule})
+        assert main(["train", "-c", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(outdir)
+
     def test_config_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")

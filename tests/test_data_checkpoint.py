@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adq.errors import InputError
+from adq.errors import ConfigurationError, InputError
 from adq.nn.arch import NetworkArch
 from adq.nn.checkpoint import load_checkpoint, save_checkpoint
 from adq.nn.data import load_directory, synthetic_dataset
@@ -135,3 +135,34 @@ class TestArchJson:
         back = NetworkArch.load(path)
         assert back.to_dict() == arch.to_dict()
         assert back.arch_hash() == arch.arch_hash()
+
+
+class TestArchJsonIntegers:
+    """from_dict reads integer fields as they are written: no fallback for
+    zero or null, and the same int() conversion for skip_source."""
+
+    def _record(self, **conv_fields):
+        conv = {"id": 0, "kind": "conv2d", "in_channels": 1,
+                "out_channels": 2, "kernel": 3, "padding": 1, **conv_fields}
+        return {"input_shape": [1, 4, 4], "num_classes": 2, "layers": [
+            conv, {"id": 1, "kind": "relu"},
+            {"id": 2, "kind": "conv2d", "in_channels": 2, "out_channels": 2,
+             "kernel": 3, "padding": 1},
+            {"id": 3, "kind": "residual-add", "skip_source": "1"},
+            {"id": 4, "kind": "avgpool", "kernel": 0},
+            {"id": 5, "kind": "flatten"},
+            {"id": 6, "kind": "linear", "in_channels": 2, "out_channels": 2},
+        ]}
+
+    def test_zero_stride_rejected(self):
+        with pytest.raises(ConfigurationError, match="stride must be >= 1"):
+            NetworkArch.from_dict(self._record(stride=0))
+
+    def test_null_stride_is_malformed(self):
+        with pytest.raises(ConfigurationError, match="malformed"):
+            NetworkArch.from_dict(self._record(stride=None))
+
+    def test_string_skip_source_read_as_layer_id(self):
+        arch = NetworkArch.from_dict(self._record())
+        assert arch.layer(3).skip_source == 1
+        assert arch.input_ids(3) == (2, 1)

@@ -248,6 +248,29 @@ class TestRebuild:
         assert np.array_equal(new_state.weights[3]["w"],
                               state.weights[3]["w"][:, want_cols])
 
+    def test_linear_relu_linear_head(self):
+        # the second linear's inputs are the first linear's outputs, not
+        # features of the flattened map
+        arch = NetworkArch([
+            LayerSpec(id=0, kind="conv2d", in_channels=1, out_channels=3,
+                      kernel=3, padding=1),
+            LayerSpec(id=1, kind="relu"),
+            LayerSpec(id=2, kind="flatten"),
+            LayerSpec(id=3, kind="linear", in_channels=3 * 16, out_channels=5),
+            LayerSpec(id=4, kind="relu"),
+            LayerSpec(id=5, kind="linear", in_channels=5, out_channels=2),
+        ], (1, 4, 4), 2)
+        state = init_state(arch, 0)
+        ps = PruneState({0: 2}, {0: 3})
+        new_arch, new_state = rebuild_pruned(arch, state, ps, {0: [0, 2]})
+        assert new_arch.layer(3).in_channels == 32
+        assert new_arch.layer(5).in_channels == 5
+        assert np.array_equal(new_state.weights[5]["w"],
+                              state.weights[5]["w"])
+        logits, _ = forward(new_arch, new_state,
+                            np.ones((2, 1, 4, 4)))
+        assert logits.shape == (2, 2)
+
     def test_pruned_forward_runs_for_random_ad(self):
         rng = np.random.default_rng(5)
         arch = self._feedforward()
