@@ -4,36 +4,54 @@ Everything runs in float64. Each forward returns ``(out, cache)`` and each
 backward consumes ``(cache, grad_out)`` and returns ``(grad_in, param_grads)``
 where ``param_grads`` maps parameter name -> gradient array.
 
-Convolution is a GEMM over patch rows: one gather from a channels-last
-(padded) copy of the input builds the (B·Ho·Wo, C·k·k) matrix, one row per
-output position, columns in ``weight.reshape(Cout, -1)`` order. Training
-must stay bit-identical to the earlier im2col kernels, which fixes memory
-layouts that are usually free choices:
+Convolution is a GEMM over patch rows: the (B·Ho·Wo, C·k·k) matrix, one
+row per output position, columns in ``weight.reshape(Cout, -1)`` order. It
+is gathered with ``np.take`` from a channels-last (padded) copy of the
+input, through one sample's flat patch offsets into that copy; they depend
+only on the geometry (C, Hp, Wp, k, stride) and are memoized. The backward
+scatters the patch gradient back through the same offsets with
+``np.bincount``, SCATTER_CHUNK samples per call (a per-call index that
+stays small whatever the batch size), and copies each chunk's channels-last
+sums into a padded NCHW buffer. Training must stay bit-identical to the
+earlier im2col kernels, which fixes orders and memory layouts that are
+usually free choices:
 
 * GEMM operands. OpenBLAS's summation order follows operand layout, so the
   forward is ``rows @ Wmat.T`` with ``rows`` C-ordered (F-ordered when
   B = 1), the weight gradient ``ascontiguousarray(rows.T) @ G`` with ``G``
   the (B·Ho·Wo, Cout) matrix of the output gradient, and the patch gradient
   ``G @ Wmat``. A transposed view in place of a copy changes bits.
+* Scatter order. The earlier kernels added the k·k kernel taps in turn,
+  so each input element is ``0 + g(0,0) + g(0,1) + ... + g(k-1,k-1)`` over
+  the taps that reach it. ``np.bincount`` adds in traversal order, and the
+  patch gradient is (B, Ho, Wo, C, k, k)-ordered. Tap (i, j) reaches input
+  (h, w) from output ((h - i) / stride, (w - j) / stride), so for one input
+  element a later output brings an earlier tap. Walking the patch gradient
+  backwards therefore meets every element's taps in (i, j) order, and the
+  sums keep their bits.
 * Returned strides. numpy reductions (batchnorm statistics, bias gradients)
   sum in stride order, so the output is the channels-innermost view of the
   (B·Ho·Wo, Cout) GEMM result and the input gradient is the interior slice
   of a padded NCHW buffer, even where another layout would be cheaper.
 
-``tests/test_kernels_bitexact.py`` holds both kernels to the earlier ones'
-bits and strides. Pooling uses per-offset slicing with a fixed scan order so
-max-pool ties always break toward the first window position (deterministic
-backward).
+``batchnorm_forward`` forms ``x - mean`` once and normalizes it in place,
+with the statistics computed op for op as ``x.mean``/``x.var`` compute them.
+``tests/test_kernels_bitexact.py`` holds both conv kernels and the batchnorm
+forward to the earlier ones' bits and strides. Pooling uses per-offset
+slicing with a fixed scan order so max-pool ties always break toward the
+first window position (deterministic backward).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from adq.errors import ConfigurationError
 
 BN_EPS = 1e-5
+SCATTER_CHUNK = 8  # samples per np.bincount call in conv2d_backward
 
 
 # ------------------------------------------------------------------- geometry
@@ -62,23 +80,32 @@ def pool_geometry(h, w, kernel, stride):
 
 # ---------------------------------------------------------------- convolution
 
+@functools.lru_cache(maxsize=64)
+def _patch_index(c, hp, wp, kernel, stride):
+    """(Ho·Wo, C·k·k) offsets of one sample's patch-row elements into its
+    flattened channels-last padded map (Hp, Wp, C)."""
+    ho, wo = conv_output_size(hp, wp, kernel, stride, 0)
+    corner = np.arange(ho)[:, None] * stride * wp + np.arange(wo) * stride
+    tap = np.arange(kernel)[:, None] * wp + np.arange(kernel)
+    idx = (corner.reshape(-1, 1, 1, 1) + tap) * c + np.arange(c)[:, None, None]
+    idx = idx.reshape(ho * wo, c * kernel * kernel)
+    idx.flags.writeable = False
+    return idx
+
+
 def _patch_rows(x: np.ndarray, kernel: int, stride: int, padding: int):
     """Patch rows of x and the output size (see the module docstring)."""
     b, c, h, w = x.shape
-    ho, wo = conv_output_size(h, w, kernel, stride, padding)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    xp = x.transpose(0, 2, 3, 1)  # a free view of a channels-innermost x
     if padding:
-        xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+        xp = np.zeros((b, hp, wp, c), dtype=x.dtype)
         xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
-    else:
-        xp = x.transpose(0, 2, 3, 1)
-    sb, sh, sw, sc = xp.strides
-    windows = as_strided(xp, (b, ho, wo, c, kernel, kernel),
-                         (sb, stride * sh, stride * sw, sc, sh, sw),
-                         writeable=False)
-    rows = windows.reshape(b * ho * wo, c * kernel * kernel)
+    idx = _patch_index(c, hp, wp, kernel, stride)
+    rows = np.take(xp.reshape(b, -1), idx, axis=1).reshape(-1, idx.shape[1])
     if b == 1:
         rows = np.asfortranarray(rows)
-    return rows, (ho, wo)
+    return rows, conv_output_size(h, w, kernel, stride, padding)
 
 
 def conv2d_forward(x, weight, bias, stride=1, padding=0):
@@ -113,19 +140,22 @@ def conv2d_backward(cache, gout):
         gw = np.ascontiguousarray(gw)
     gw = gw.reshape(weight.shape)
     gb = gout.sum(axis=(0, 2, 3))
-    grows = (g @ weight.reshape(cout, -1)).reshape(b, ho, wo, c, p, p)
+    grows = (g @ weight.reshape(cout, -1)).reshape(b, -1)
     hp, wp = h + 2 * padding, w + 2 * padding
-    gxp = np.zeros((b, hp, wp, c), dtype=grows.dtype)
-    for i in range(p):
-        hi = i + stride * ho
-        for j in range(p):
-            wj = j + stride * wo
-            gxp[:, i:hi:stride, j:wj:stride] += grows[..., i, j]
-    # accumulated channels-last (long contiguous runs), returned with the
-    # strides of a padded NCHW buffer's interior
-    gx = np.empty((b, c, hp, wp), dtype=gxp.dtype)
-    gx = gx[:, :, padding:padding + h, padding:padding + w]
-    gx[...] = gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
+    per = hp * wp * c
+    chunk = min(b, SCATTER_CHUNK)
+    # the patch rows' offsets, reversed: the reversed gradient of a chunk
+    # holds samples chunk - 1, ..., 0
+    idx = (np.arange(chunk - 1, -1, -1)[:, None] * per
+           + _patch_index(c, hp, wp, p, stride).reshape(-1)[::-1]).reshape(-1)
+    gxp = np.empty((b, c, hp, wp), dtype=grows.dtype)
+    for s in range(0, b, chunk):
+        part = grows[s:s + chunk]
+        m = part.shape[0]
+        acc = np.bincount(idx[idx.size - part.size:], part.reshape(-1)[::-1],
+                          minlength=m * per)
+        gxp[s:s + m] = acc.reshape(m, hp, wp, c).transpose(0, 3, 1, 2)
+    gx = gxp[:, :, padding:padding + h, padding:padding + w]
     return gx, {"w": gw, "b": gb}
 
 
@@ -238,20 +268,28 @@ def _bn_bcast(v, x):
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, training,
                       momentum=0.1):
     """Per-channel normalization. Running stats are updated in place when
-    training; evaluation normalizes with the stored running stats."""
+    training; evaluation normalizes with the stored running stats.
+
+    The batch statistics are computed op for op as ``x.mean``/``x.var`` do,
+    with ``x - mean`` formed once and turned into ``xhat`` in place."""
     axes = _bn_axes(x)
     if training:
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        n = x.size // x.shape[1]
+        mean = np.add.reduce(x, axis=axes) / n
+        d = x - _bn_bcast(mean, x)
+        var = np.add.reduce(np.square(d), axis=axes) / n
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mean, var = running_mean, running_var
+        var = running_var
+        d = x - _bn_bcast(running_mean, x)
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - _bn_bcast(mean, x)) * _bn_bcast(inv_std, x)
-    out = _bn_bcast(gamma, x) * xhat + _bn_bcast(beta, x)
+    xhat = d
+    xhat *= _bn_bcast(inv_std, x)
+    out = _bn_bcast(gamma, x) * xhat
+    out += _bn_bcast(beta, x)
     return out, (xhat, gamma, inv_std, training, x.shape)
 
 

@@ -56,26 +56,38 @@ def quantize(x, qp: QuantParams):
     x = np.asarray(x, dtype=np.float64)
     if qp.degenerate:
         return np.zeros_like(x)
-    clamped = np.clip(x, qp.x_min, qp.x_max)
-    scaled = (clamped - qp.x_min) * (qp.levels / (qp.x_max - qp.x_min))
-    return np.floor(scaled + 0.5)  # round_half_away, as scaled >= 0
+    # clip, shift, scale and round in one buffer
+    q = np.clip(x, qp.x_min, qp.x_max)
+    q -= qp.x_min
+    q *= qp.levels / (qp.x_max - qp.x_min)
+    q += 0.5
+    return np.floor(q, out=q)  # round_half_away, as q >= 0
+
+
+def _check_levels(levels, qp: QuantParams):
+    if np.any(levels < 0) or np.any(levels > qp.levels):
+        raise InputError(f"levels outside [0, {qp.levels}]")
 
 
 def dequantize(levels, qp: QuantParams):
     levels = np.asarray(levels, dtype=np.float64)
-    if np.any(levels < 0) or np.any(levels > qp.levels):
-        raise InputError(f"levels outside [0, {qp.levels}]")
+    _check_levels(levels, qp)
     if qp.degenerate:
         return np.full_like(levels, qp.x_min)
     return levels * ((qp.x_max - qp.x_min) / qp.levels) + qp.x_min
 
 
 def fake_quant(x, qp: QuantParams):
-    """Quantize-then-dequantize; idempotent for fixed params."""
+    """Quantize-then-dequantize; idempotent for fixed params. Dequantizes
+    the levels in place, with dequantize's arithmetic."""
     x = np.asarray(x, dtype=np.float64)
     if qp.degenerate:
         return x.copy()
-    return dequantize(quantize(x, qp), qp)
+    q = quantize(x, qp)
+    _check_levels(q, qp)
+    q *= (qp.x_max - qp.x_min) / qp.levels
+    q += qp.x_min
+    return q
 
 
 def ste_grad(upstream_grad, x, qp: QuantParams):

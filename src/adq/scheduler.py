@@ -14,7 +14,7 @@ quantizer, energy reports, checkpoints and logs) sees the inherited values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -44,9 +44,6 @@ class BitWidthAssignment:
         return cls(k={i: initial_bits for i in ids},
                    exempt=frozenset(exempt), iter=0)
 
-    def copy(self) -> "BitWidthAssignment":
-        return BitWidthAssignment(dict(self.k), self.exempt, self.iter)
-
 
 @dataclass
 class PruneState:
@@ -57,9 +54,6 @@ class PruneState:
     def initial(cls, arch: NetworkArch) -> "PruneState":
         ch = {i: arch.layer(i).out_channels for i in arch.conv_ids()}
         return cls(channels=dict(ch), initial_channels=dict(ch))
-
-    def copy(self) -> "PruneState":
-        return PruneState(dict(self.channels), dict(self.initial_channels))
 
 
 @dataclass
@@ -80,6 +74,15 @@ class ScheduleConfig:
     network_ad_mode: str = "pooled"
 
     def validate(self):
+        # a config file can give any JSON type; the range checks need numbers
+        for f in fields(self):  # annotations are strings (see __future__)
+            allowed = {"int": int, "float": (int, float)}.get(f.type)
+            value = getattr(self, f.name)
+            if allowed and (isinstance(value, bool)
+                            or not isinstance(value, allowed)):
+                kind = "an integer" if f.type == "int" else "a number"
+                raise ConfigurationError(
+                    f"{f.name} must be {kind}, got {value!r}")
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be >= 1")
         if not (1 <= self.initial_bits <= MAX_BITS):
@@ -431,8 +434,13 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
         acc = engine.accuracy(arch, state, dataset.x_test, dataset.y_test,
                               quantizer)
         log.epoch_accuracy.append((epoch_global, acc))
-    log.final_accuracy = engine.accuracy(arch, state, dataset.x_test,
-                                         dataset.y_test, quantizer)
+    # the last final epoch evaluated this state and quantizer already; with
+    # no final epochs the assignment, and so the quantizer, changed since
+    # the last evaluation
+    if not config.final_convergence_epochs:
+        acc = engine.accuracy(arch, state, dataset.x_test, dataset.y_test,
+                              quantizer)
+    log.final_accuracy = acc
     return ScheduleResult(arch, state, assignment, prune_state, log, history,
                           quantizer)
 

@@ -1,20 +1,23 @@
 """Independent reference implementations used as test oracles.
 
 Most of it shares no code with the package internals and is deliberately
-naive (nested loops, direct formulas). Two pieces are the package's former
-code, kept as a bit-for-bit reference: the einsum convolution kernels, and
-the pruning rebuild that mirrored skip-path convs onto their destinations
-and walked back from each linear layer to the flatten (it builds its result
-with the package's architecture and engine).
+naive (nested loops, direct formulas). Three pieces are the package's
+former code, kept as a bit-for-bit reference: the einsum convolution
+kernels; the quantizer and batchnorm forward that allocated a new array per
+operation; and the pruning rebuild that mirrored skip-path convs onto their
+destinations and walked back from each linear layer to the flatten (it
+builds its result with the package's architecture and engine).
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from adq.errors import ConfigurationError
+from adq.errors import ConfigurationError, InputError
 from adq.nn import engine
 from adq.nn.arch import NetworkArch
+from adq.nn.layers import BN_EPS
+from adq.quant import QuantParams
 from adq.scheduler import PruneState, skip_topology
 
 
@@ -101,6 +104,69 @@ def einsum_conv2d_backward(cache, gout):
     gcols = np.einsum("of,bon->bfn", wmat, gmat, optimize=True)
     gx = _col2im(gcols, x_shape, p, stride, padding, ho, wo)
     return gx, {"w": gw, "b": gb}
+
+
+# The package's former fake quantization and batchnorm forward, kept
+# verbatim as the bit-for-bit reference for the in-place versions: values
+# and the memory layout (strides) of every returned array must match.
+
+def quantize(x, qp: QuantParams):
+    """Map values to integer levels in [0, 2^k - 1] (float64 array of ints)."""
+    x = np.asarray(x, dtype=np.float64)
+    if qp.degenerate:
+        return np.zeros_like(x)
+    clamped = np.clip(x, qp.x_min, qp.x_max)
+    scaled = (clamped - qp.x_min) * (qp.levels / (qp.x_max - qp.x_min))
+    return np.floor(scaled + 0.5)  # round_half_away, as scaled >= 0
+
+
+def dequantize(levels, qp: QuantParams):
+    levels = np.asarray(levels, dtype=np.float64)
+    if np.any(levels < 0) or np.any(levels > qp.levels):
+        raise InputError(f"levels outside [0, {qp.levels}]")
+    if qp.degenerate:
+        return np.full_like(levels, qp.x_min)
+    return levels * ((qp.x_max - qp.x_min) / qp.levels) + qp.x_min
+
+
+def fake_quant(x, qp: QuantParams):
+    """Quantize-then-dequantize; idempotent for fixed params."""
+    x = np.asarray(x, dtype=np.float64)
+    if qp.degenerate:
+        return x.copy()
+    return dequantize(quantize(x, qp), qp)
+
+
+def ste_mask(x, qp: QuantParams):
+    return (np.asarray(x) >= qp.x_min) & (np.asarray(x) <= qp.x_max)
+
+
+def _bn_axes(x):
+    return (0, 2, 3) if x.ndim == 4 else (0,)
+
+
+def _bn_bcast(v, x):
+    return v[None, :, None, None] if x.ndim == 4 else v[None, :]
+
+
+def batchnorm_forward(x, gamma, beta, running_mean, running_var, training,
+                      momentum=0.1):
+    """Per-channel normalization. Running stats are updated in place when
+    training; evaluation normalizes with the stored running stats."""
+    axes = _bn_axes(x)
+    if training:
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x - _bn_bcast(mean, x)) * _bn_bcast(inv_std, x)
+    out = _bn_bcast(gamma, x) * xhat + _bn_bcast(beta, x)
+    return out, (xhat, gamma, inv_std, training, x.shape)
 
 
 def naive_maxpool(x, k, stride):

@@ -100,6 +100,9 @@ class TestTrain:
         {"network_ad_mode": "Mean"},
         {"act_range_mode": "median"},
         {"ema_decay": 1.5},
+        {"batch_size": "8"},
+        {"saturation_epsilon": "0.1"},
+        {"epoch_budget": 6.5},
     ])
     def test_bad_schedule_field_rejected_at_load(self, tmp_path, capsys,
                                                  schedule):

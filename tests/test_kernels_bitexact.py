@@ -9,6 +9,11 @@ gradients), so a layout change moves trained weights even when each conv
 call is bit-equal. The schedule test checks that end to end by comparing two
 trainings in one process, which holds on any BLAS build; a literal digest
 would not.
+
+The quantizer and the batchnorm forward are held the same way to their
+former versions (``oracles.quantize``/``dequantize``/``fake_quant``/
+``ste_mask`` and ``oracles.batchnorm_forward``), which allocated a new
+array per operation where the current ones work in place.
 """
 
 import itertools
@@ -16,6 +21,7 @@ import itertools
 import numpy as np
 import pytest
 
+from adq import quant
 from adq.nn import layers as L
 from adq.nn.arch import LayerSpec, NetworkArch
 from adq.nn.data import synthetic_dataset
@@ -147,6 +153,24 @@ def test_schedule_weights_match_einsum_kernels(monkeypatch):
             assert np.array_equal(got.state.weights[lid][name], arr), (lid, name)
 
 
+def test_schedule_matches_all_former_kernels(monkeypatch):
+    """The conv, batchnorm and quantizer rewrites together, end to end."""
+    with monkeypatch.context() as mp:
+        mp.setattr(L, "conv2d_forward", oracles.einsum_conv2d_forward)
+        mp.setattr(L, "conv2d_backward", oracles.einsum_conv2d_backward)
+        mp.setattr(L, "batchnorm_forward", oracles.batchnorm_forward)
+        mp.setattr(quant, "fake_quant", oracles.fake_quant)
+        want = _train()
+    got = _train()
+    assert got.arch.to_dict() == want.arch.to_dict()
+    assert got.log.to_dict() == want.log.to_dict()
+    assert got.quantizer.state_dict() == want.quantizer.state_dict()
+    for lid, params in want.state.weights.items():
+        for name, arr in params.items():
+            assert got.state.weights[lid][name].tobytes() == arr.tobytes(), \
+                (lid, name)
+
+
 class TestMaxpoolSemantics:
     def test_ties_route_to_the_first_window_position(self):
         x = np.array([[[[1.0, 3.0], [3.0, 3.0]]]])
@@ -171,3 +195,127 @@ class TestMaxpoolSemantics:
         assert np.array_equal(out[..., 0, 0], x.max(axis=(2, 3)))
         gx, _ = L.maxpool_backward(cache, np.ones_like(out))
         assert np.array_equal(gx, (x == x.max(axis=(2, 3), keepdims=True)) * 1.0)
+
+
+# (batch, cin, cout, h, w, kernel, stride, padding): geometries the memoized
+# gather and scatter indices must key correctly
+GEOMETRIES = (
+    (3, 2, 4, 5, 7, 3, 1, 1),    # non-square map
+    (3, 2, 4, 7, 5, 3, 2, 0),
+    (2, 3, 2, 9, 9, 5, 1, 2),    # k = 5, padding 2
+    (2, 3, 2, 10, 8, 3, 3, 1),   # stride 3
+    (2, 3, 2, 8, 7, 2, 3, 0),    # stride 3 > kernel: some inputs feed no patch
+)
+
+
+def _conv_failures(rng, x, w, b, stride, padding):
+    """Where the kernels' results differ from the einsum kernels' on x."""
+    failures = []
+    want, want_cache = oracles.einsum_conv2d_forward(x, w, b, stride, padding)
+    got, cache = L.conv2d_forward(x, w, b, stride, padding)
+    if not _same(got, want):
+        failures.append("out")
+    gout = rng.normal(size=want.shape)
+    for tag, g in (("nchw", gout), ("nhwc", _channels_last(gout))):
+        gx_want, pg_want = oracles.einsum_conv2d_backward(want_cache, g)
+        gx, pg = L.conv2d_backward(cache, g)
+        for name, a, ref in (("gx", gx, gx_want), ("gw", pg["w"], pg_want["w"]),
+                             ("gb", pg["b"], pg_want["b"])):
+            if not _same(a, ref):
+                failures.append(f"{name} ({tag} gout)")
+    return failures
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES, ids=str)
+def test_conv_geometries(geometry):
+    batch, cin, cout, h, wd, k, stride, padding = geometry
+    rng = np.random.default_rng(sum(geometry))
+    for x in (rng.normal(size=(batch, cin, h, wd)),
+              _channels_last(rng.normal(size=(batch, cin, h, wd)))):
+        w = rng.normal(size=(cout, cin, k, k))
+        b = rng.normal(size=cout)
+        assert not _conv_failures(rng, x, w, b, stride, padding)
+
+
+def test_conv_batch_sizes_in_a_row():
+    """One geometry at batch sizes on and off the scatter's sample chunks,
+    each call reusing the indices the previous ones memoized."""
+    rng = np.random.default_rng(11)
+    w = rng.normal(size=(5, 4, 3, 3))
+    b = rng.normal(size=5)
+    failures = []
+    for batch in (1, 12, 52, 256):
+        x = _channels_last(rng.normal(size=(batch, 4, 6, 6)))
+        failures += [f"B{batch}: {f}"
+                     for f in _conv_failures(rng, x, w, b, 1, 1)]
+    assert not failures
+
+
+def test_conv_channel_count_changes_between_calls():
+    """Pruning rebuilds a conv with fewer channels on the same map."""
+    rng = np.random.default_rng(12)
+    failures = []
+    for cin, cout in ((8, 6), (5, 6), (5, 3), (8, 6), (2, 1), (8, 6)):
+        x = _channels_last(rng.normal(size=(9, cin, 6, 6)))
+        w = rng.normal(size=(cout, cin, 3, 3))
+        b = rng.normal(size=cout)
+        failures += [f"{cin}->{cout}: {f}"
+                     for f in _conv_failures(rng, x, w, b, 2, 1)]
+    assert not failures
+
+
+def _tensors(rng):
+    """The layouts layer inputs arrive in, offset from zero."""
+    def draw(*shape):
+        return rng.normal(1.5, 2.0, size=shape)
+    return (("nchw", draw(6, 3, 5, 4)),
+            ("channels-last", _channels_last(draw(6, 3, 5, 4))),
+            ("2-d", draw(9, 7)),
+            ("2-d transposed", draw(7, 9).T))
+
+
+@pytest.mark.parametrize("k", (1, 3, 8, 16))
+def test_quantizer_matches_former(k):
+    rng = np.random.default_rng(k)
+    tensors = _tensors(rng)
+    # a range inside the data clips both tails; a degenerate one carries no
+    # information
+    lo, hi = np.quantile(tensors[0][1], [0.1, 0.85])
+    # half a level above each level, where a reordered scaling moves levels
+    step = (hi - lo) / ((1 << k) - 1)
+    mids = lo + (np.arange(64).reshape(8, 8) + 0.5) * step
+    for tag, x in tensors + (("level midpoints", mids),):
+        before = x.copy()
+        for qp in (quant.QuantParams(k, lo, hi),
+                   quant.QuantParams(k, float(x.min()), float(x.max())),
+                   quant.QuantParams(k, lo, lo)):
+            case = f"{tag} [{qp.x_min:.3g}, {qp.x_max:.3g}]"
+            levels = oracles.quantize(x, qp)
+            assert _same(quant.quantize(x, qp), levels), case
+            assert _same(quant.dequantize(levels, qp),
+                         oracles.dequantize(levels, qp)), case
+            assert _same(quant.fake_quant(x, qp),
+                         oracles.fake_quant(x, qp)), case
+            assert _same(quant.ste_mask(x, qp), oracles.ste_mask(x, qp)), case
+        assert np.array_equal(x, before), f"{tag}: the input was written"
+
+
+@pytest.mark.parametrize("training", (True, False), ids=("train", "eval"))
+def test_batchnorm_forward_matches_former(training):
+    rng = np.random.default_rng(21)
+    for tag, x in _tensors(rng):
+        c = x.shape[1]
+        gamma, beta = rng.normal(size=c), rng.normal(size=c)
+        running = (rng.normal(size=c), rng.uniform(0.5, 2.0, size=c))
+        want_running = tuple(r.copy() for r in running)
+        want, want_cache = oracles.batchnorm_forward(x, gamma, beta,
+                                                     *want_running, training)
+        got, cache = L.batchnorm_forward(x, gamma, beta, *running, training)
+        assert _same(got, want), tag
+        for a, ref in zip(cache, want_cache):
+            if isinstance(ref, np.ndarray):
+                assert _same(a, ref), tag
+            else:
+                assert a == ref, tag
+        for r, ref in zip(running, want_running):
+            assert r.tobytes() == ref.tobytes(), f"{tag}: running statistics"
