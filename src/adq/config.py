@@ -6,7 +6,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from adq.errors import ConfigurationError
+from adq.errors import ConfigurationError, check_field_types
 from adq.nn.arch import NetworkArch
 from adq.nn.data import Dataset, load_directory, synthetic_dataset
 from adq.nn.engine import OptimConfig
@@ -56,6 +56,7 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigurationError(f"config field 'optimizer': {exc}") from exc
         schedule.validate()
+        optimizer.validate()
         model = raw.get("energy_model", "analytical")
         if model not in ("analytical", "pim", "both", "none"):
             raise ConfigurationError(
@@ -63,7 +64,7 @@ class ExperimentConfig:
         # environment variables may override output paths only
         out = os.environ.get("ADQ_OUTPUT_DIR") or need("output_dir")
         cfg = cls(
-            seed=int(raw.get("seed", 0)),
+            seed=raw.get("seed", 0),
             output_dir=out,
             arch_spec=need("arch"),
             dataset_spec=need("dataset"),
@@ -73,6 +74,7 @@ class ExperimentConfig:
             baseline_epoch_total=raw.get("baseline_epoch_total"),
             source_path=source_path,
         )
+        check_field_types(cfg)
         cfg.resolve_arch()  # fail fast on bad references
         ds = cfg.dataset_spec
         if isinstance(ds, dict) and ds.get("kind") == "directory":

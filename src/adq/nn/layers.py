@@ -2,7 +2,9 @@
 
 Everything runs in float64. Each forward returns ``(out, cache)`` and each
 backward consumes ``(cache, grad_out)`` and returns ``(grad_in, param_grads)``
-where ``param_grads`` maps parameter name -> gradient array.
+where ``param_grads`` maps parameter name -> gradient array. The backward of
+a kind with trainable parameters also takes ``input_grad=False``, which
+skips ``grad_in`` (returned as None).
 
 Convolution is a GEMM over patch rows: the (B·Ho·Wo, C·k·k) matrix, one
 row per output position, columns in ``weight.reshape(Cout, -1)`` order. It
@@ -122,7 +124,7 @@ def conv2d_forward(x, weight, bias, stride=1, padding=0):
     return out, cache
 
 
-def conv2d_backward(cache, gout):
+def conv2d_backward(cache, gout, input_grad=True):
     x_shape, rows, weight, stride, padding, ho, wo = cache
     b, c, h, w = x_shape
     cout, _, p, _ = weight.shape
@@ -140,6 +142,8 @@ def conv2d_backward(cache, gout):
         gw = np.ascontiguousarray(gw)
     gw = gw.reshape(weight.shape)
     gb = gout.sum(axis=(0, 2, 3))
+    if not input_grad:
+        return None, {"w": gw, "b": gb}
     grows = (g @ weight.reshape(cout, -1)).reshape(b, -1)
     hp, wp = h + 2 * padding, w + 2 * padding
     per = hp * wp * c
@@ -167,11 +171,11 @@ def linear_forward(x, weight, bias):
     return out, (x, weight)
 
 
-def linear_backward(cache, gout):
+def linear_backward(cache, gout, input_grad=True):
     x, weight = cache
     gw = gout.T @ x
     gb = gout.sum(axis=0)
-    gx = gout @ weight
+    gx = gout @ weight if input_grad else None
     return gx, {"w": gw, "b": gb}
 
 
@@ -293,7 +297,7 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, training,
     return out, (xhat, gamma, inv_std, training, x.shape)
 
 
-def batchnorm_backward(cache, gout):
+def batchnorm_backward(cache, gout, input_grad=True):
     xhat, gamma, inv_std, training, x_shape = cache
     axes = _bn_axes(gout)
     n = 1
@@ -301,6 +305,8 @@ def batchnorm_backward(cache, gout):
         n *= x_shape[a]
     ggamma = (gout * xhat).sum(axis=axes)
     gbeta = gout.sum(axis=axes)
+    if not input_grad:
+        return None, {"gamma": ggamma, "beta": gbeta}
     gxhat = gout * _bn_bcast(gamma, gout)
     if training:
         # batch statistics are a function of x: full backward

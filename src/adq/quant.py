@@ -203,37 +203,40 @@ class NetworkQuantizer:
         k = self.bits.get(layer_id)
         return k is not None and layer_id not in self.exempt and k <= MAX_BITS
 
-    def weight(self, layer_id, w):
-        """Returns (w_quantized, ste_mask) — mask is None when unquantized."""
+    # Each of the three returns (quantized tensor, STE mask). The mask is
+    # None when the tensor passes unquantized, or when mask is false: a
+    # forward-only pass has no backward to use it.
+
+    def weight(self, layer_id, w, mask=True):
         if not self._active(layer_id):
             return w, None
         lo, hi = float(w.min()), float(w.max())
         if not (np.isfinite(lo) and np.isfinite(hi)):
             return w, None  # let divergence surface at the loss check
         qp = QuantParams(self.bits[layer_id], lo, hi)
-        return fake_quant(w, qp), ste_mask(w, qp)
+        return fake_quant(w, qp), (ste_mask(w, qp) if mask else None)
 
-    def activation(self, layer_id, x):
+    def activation(self, layer_id, x, mask=True):
         """Quantize the tensor entering a weighted layer."""
         if not self._active(layer_id):
             return x, None
-        return self._site(("input", layer_id), x, self.bits[layer_id])
+        return self._site(("input", layer_id), x, self.bits[layer_id], mask)
 
-    def skip_activation(self, add_id, x):
+    def skip_activation(self, add_id, x, mask=True):
         """Quantize a residual-add skip input at the destination bit-width."""
         k = self.skip_bits.get(add_id)
         if k is None or k > MAX_BITS:
             return x, None
-        return self._site(("skip", add_id), x, k)
+        return self._site(("skip", add_id), x, k, mask)
 
-    def _site(self, site, x, k):
+    def _site(self, site, x, k, mask):
         tr = self._tracker(site)
         if self.training:
             tr.observe(x)
         if not tr.initialized:
             return x, None
         qp = tr.params(k)
-        return fake_quant(x, qp), ste_mask(x, qp)
+        return fake_quant(x, qp), (ste_mask(x, qp) if mask else None)
 
     def _site_bits(self, site):
         kind, lid = site

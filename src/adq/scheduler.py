@@ -14,12 +14,13 @@ quantizer, energy reports, checkpoints and logs) sees the inherited values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from adq.admon import ADHistory, observation_points
-from adq.errors import ConfigurationError, InputError, TrainingDiverged
+from adq.errors import (ConfigurationError, InputError, TrainingDiverged,
+                        check_field_types)
 from adq.nn.arch import KINDS, NetworkArch
 from adq.nn import engine
 from adq.nn.checkpoint import save_checkpoint
@@ -74,15 +75,7 @@ class ScheduleConfig:
     network_ad_mode: str = "pooled"
 
     def validate(self):
-        # a config file can give any JSON type; the range checks need numbers
-        for f in fields(self):  # annotations are strings (see __future__)
-            allowed = {"int": int, "float": (int, float)}.get(f.type)
-            value = getattr(self, f.name)
-            if allowed and (isinstance(value, bool)
-                            or not isinstance(value, allowed)):
-                kind = "an integer" if f.type == "int" else "a number"
-                raise ConfigurationError(
-                    f"{f.name} must be {kind}, got {value!r}")
+        check_field_types(self)  # the range checks need numbers
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be >= 1")
         if not (1 <= self.initial_bits <= MAX_BITS):
@@ -357,6 +350,7 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
     """
     config.validate()
     optim = optim or engine.OptimConfig()
+    optim.validate()
     if config.remove_layers:
         arch = arch.drop_layers(config.remove_layers)
 
@@ -529,12 +523,8 @@ def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
         losses.append(loss)
     if config.strict_ad_pass:
         # dedicated full-train-set pass with the post-epoch model
-        quantizer.training = False
-        for i in range(0, len(dataset.x_train), config.batch_size):
-            engine.forward(arch, state,
-                           dataset.x_train[i:i + config.batch_size],
-                           hooks=(obs["hook"],), quantizer=quantizer,
-                           training=False, raw_observers=obs["raw_ids"])
-        quantizer.training = True
+        engine.eval_logits(arch, state, dataset.x_train, quantizer,
+                           config.batch_size, hooks=(obs["hook"],),
+                           raw_observers=obs["raw_ids"])
     state.epoch = epoch
     return float(np.mean(losses))

@@ -1,12 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 Most of it shares no code with the package internals and is deliberately
-naive (nested loops, direct formulas). Three pieces are the package's
-former code, kept as a bit-for-bit reference: the einsum convolution
-kernels; the quantizer and batchnorm forward that allocated a new array per
-operation; and the pruning rebuild that mirrored skip-path convs onto their
-destinations and walked back from each linear layer to the flatten (it
-builds its result with the package's architecture and engine).
+naive (nested loops, direct formulas). Four pieces are the package's former
+code, kept as a bit-for-bit reference: the einsum convolution kernels; the
+quantizer and batchnorm forward that allocated a new array per operation;
+the pruning rebuild that mirrored skip-path convs onto their destinations
+and walked back from each linear layer to the flatten (it builds its result
+with the package's architecture and engine); and the evaluation that ran
+the training forward batch by batch (``predict``, ``eval_logits``).
 """
 
 from dataclasses import replace
@@ -16,6 +17,7 @@ import numpy as np
 from adq.errors import ConfigurationError, InputError
 from adq.nn import engine
 from adq.nn.arch import NetworkArch
+from adq.nn.engine import forward
 from adq.nn.layers import BN_EPS
 from adq.quant import QuantParams
 from adq.scheduler import PruneState, skip_topology
@@ -362,3 +364,42 @@ def _linear_feature_selection(arch, linear_id, channel_sel, shapes):
     for c in channel_sel:
         feats.extend(range(c * per, (c + 1) * per))
     return feats
+
+
+# ------------------------------------------------------ former evaluation
+
+def predict(arch, state, x, quantizer=None, batch_size=256):
+    """Class predictions in evaluation mode."""
+    outs = []
+    was_training = getattr(quantizer, "training", None)
+    if quantizer is not None:
+        quantizer.training = False
+    try:
+        for i in range(0, len(x), batch_size):
+            logits, _ = forward(arch, state, x[i:i + batch_size],
+                                quantizer=quantizer, training=False)
+            outs.append(np.argmax(logits, axis=1))
+    finally:
+        if quantizer is not None and was_training is not None:
+            quantizer.training = was_training
+    return np.concatenate(outs) if outs else np.empty(0, dtype=int)
+
+
+def eval_logits(arch, state, x, quantizer=None, batch_size=256, hooks=(),
+                raw_observers=()):
+    """``engine.eval_logits`` as the former strict AD pass computed it: the
+    training forward, batch by batch, with the quantizer in evaluation
+    mode."""
+    was_training = getattr(quantizer, "training", None)
+    if quantizer is not None:
+        quantizer.training = False
+    try:
+        logits = [forward(arch, state, x[i:i + batch_size], hooks=hooks,
+                          quantizer=quantizer, training=False,
+                          raw_observers=raw_observers)[0]
+                  for i in range(0, len(x), batch_size)]
+    finally:
+        if quantizer is not None and was_training is not None:
+            quantizer.training = was_training
+    return (np.concatenate(logits) if logits
+            else np.empty((0, arch.num_classes)))

@@ -103,12 +103,35 @@ class TestTrain:
         {"batch_size": "8"},
         {"saturation_epsilon": "0.1"},
         {"epoch_budget": 6.5},
+        {"pruning_enabled": "false"},
+        {"strict_ad_pass": "no"},
     ])
     def test_bad_schedule_field_rejected_at_load(self, tmp_path, capsys,
                                                  schedule):
         cfg_path, outdir = _write_config(tmp_path, {"schedule": schedule})
         assert main(["train", "-c", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("overrides", [
+        {"seed": "x"},
+        {"seed": True},
+        {"baseline_epoch_total": "10"},
+        {"optimizer": {"lr": "0.002"}},
+        {"optimizer": {"lr": -1.0}},
+        {"optimizer": {"lr": 0}},
+        {"optimizer": {"beta1": 1.0}},
+        {"optimizer": {"beta2": -0.1}},
+        {"optimizer": {"eps": 0.0}},
+        {"optimizer": {"weight_decay": -1e-4}},
+        {"optimizer": {"weight_decay": False}},
+    ])
+    def test_bad_top_level_or_optimizer_field_rejected_at_load(
+            self, tmp_path, capsys, overrides):
+        cfg_path, outdir = _write_config(tmp_path, overrides)
+        assert main(["train", "-c", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not os.path.exists(outdir)
 
     def test_config_parse_error_exit_code(self, tmp_path):

@@ -40,7 +40,7 @@ def _check_grads(arch, seed=0, batch=3, training=True):
 
     logits, cache = forward(arch, state, x, training=training)
     _, lgrad = loss_softmax_xent(logits, y)
-    grads, gx = backward(arch, state, cache, lgrad)
+    grads, gx = backward(arch, state, cache, lgrad, input_grad=True)
 
     for lid, pg in grads.items():
         for name, g in pg.items():

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from adq import quant
+from adq.nn import engine
 from adq.nn import layers as L
 from adq.nn.arch import LayerSpec, NetworkArch
 from adq.nn.data import synthetic_dataset
@@ -136,10 +137,16 @@ def _train():
     return run_schedule(_residual_arch(), ds, cfg, seed=5)
 
 
+def _einsum_backward(cache, gout, input_grad=True):
+    """The einsum backward, taking the engine's input_grad argument; it
+    computes the input gradient either way."""
+    return oracles.einsum_conv2d_backward(cache, gout)
+
+
 def test_schedule_weights_match_einsum_kernels(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(L, "conv2d_forward", oracles.einsum_conv2d_forward)
-        mp.setattr(L, "conv2d_backward", oracles.einsum_conv2d_backward)
+        mp.setattr(L, "conv2d_backward", _einsum_backward)
         want = _train()
     got = _train()
     before = _residual_arch()
@@ -157,7 +164,7 @@ def test_schedule_matches_all_former_kernels(monkeypatch):
     """The conv, batchnorm and quantizer rewrites together, end to end."""
     with monkeypatch.context() as mp:
         mp.setattr(L, "conv2d_forward", oracles.einsum_conv2d_forward)
-        mp.setattr(L, "conv2d_backward", oracles.einsum_conv2d_backward)
+        mp.setattr(L, "conv2d_backward", _einsum_backward)
         mp.setattr(L, "batchnorm_forward", oracles.batchnorm_forward)
         mp.setattr(quant, "fake_quant", oracles.fake_quant)
         want = _train()
@@ -319,3 +326,48 @@ def test_batchnorm_forward_matches_former(training):
                 assert a == ref, tag
         for r, ref in zip(running, want_running):
             assert r.tobytes() == ref.tobytes(), f"{tag}: running statistics"
+
+
+def _backward_both_ways(monkeypatch, arch, seed):
+    """backward's results with and without the input gradient, and the
+    input_grad argument each conv backward got in the second run."""
+    state = engine.init_state(arch, seed)
+    x = np.random.default_rng(seed).normal(size=(5,) + tuple(arch.input_shape))
+    logits, cache = engine.forward(arch, state, x)
+    lgrad = engine.loss_softmax_xent(logits, np.arange(5) % arch.num_classes)[1]
+    full = engine.backward(arch, state, cache, lgrad, input_grad=True)
+    asked = []
+    conv_backward = L.conv2d_backward
+
+    def recording(kc, gout, input_grad=True):
+        asked.append(input_grad)
+        return conv_backward(kc, gout, input_grad)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(L, "conv2d_backward", recording)
+        lean = engine.backward(arch, state, cache, lgrad)
+    return full, lean, asked
+
+
+@pytest.mark.parametrize("first", ["conv2d", "maxpool"])
+def test_backward_skips_the_input_gradient_keeping_bits(monkeypatch, first):
+    specs = [dict(kind="conv2d", in_channels=3, out_channels=4, kernel=3,
+                  padding=1)] if first == "conv2d" else [
+        dict(kind="maxpool", kernel=2, stride=1),
+        dict(kind="conv2d", in_channels=3, out_channels=4, kernel=3,
+             padding=1)]
+    specs += [dict(kind="relu"),
+              dict(kind="conv2d", in_channels=4, out_channels=4, kernel=3,
+                   padding=1),
+              dict(kind="avgpool", kernel=0), dict(kind="flatten"),
+              dict(kind="linear", in_channels=4, out_channels=3)]
+    arch = NetworkArch([LayerSpec(id=i, **kw) for i, kw in enumerate(specs)],
+                       (3, 6, 6) if first == "conv2d" else (3, 7, 7), 3)
+    (grads, gx), (lean_grads, lean_gx), asked = _backward_both_ways(
+        monkeypatch, arch, 1)
+    assert gx is not None and lean_gx is None
+    assert asked == [True, False]  # only the first conv's is skipped
+    assert lean_grads.keys() == grads.keys()
+    for lid, pg in grads.items():
+        for name, g in pg.items():
+            assert lean_grads[lid][name].tobytes() == g.tobytes(), (lid, name)
