@@ -16,8 +16,7 @@ from adq.nn.engine import (OptimConfig, TrainState, accuracy, backward,
                            forward, init_state, loss_softmax_xent,
                            optimizer_step)
 from adq.quant import (NetworkQuantizer, QuantParams, RangeTracker,
-                       dequantize, fake_quant, observe_range, quantize,
-                       ste_grad)
+                       dequantize, fake_quant, quantize)
 from adq.scheduler import (BitWidthAssignment, PruneState, ScheduleConfig,
                            ScheduleLog, propagate_skip_bitwidths,
                            run_schedule, select_pruned_channels,

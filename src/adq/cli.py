@@ -178,11 +178,7 @@ def cmd_energy(args) -> int:
         return EXIT_USAGE
 
     if args.preset:
-        try:
-            preset = get_preset(args.preset)
-        except InputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        preset = get_preset(args.preset)
         arch = preset.build_arch()
         bits = preset.bit_assignment(arch)
         channels = preset.channel_assignment(arch)

@@ -2,16 +2,34 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from adq.errors import ConfigurationError, check_field_types
+from adq.errors import ConfigurationError, check_field_types, check_type
 from adq.nn.arch import NetworkArch
 from adq.nn.data import Dataset, load_directory, synthetic_dataset
 from adq.nn.engine import OptimConfig
 from adq.presets import build_toy_cnn
 from adq.scheduler import ScheduleConfig
+
+# the keys of a config file's top-level object
+_TOP_LEVEL_KEYS = ("seed", "output_dir", "arch", "dataset", "schedule",
+                   "optimizer", "energy_model", "baseline_epoch_total")
+
+
+def _typed_args(name, spec, fn):
+    """The object spec of config field `name` without its "kind", checked
+    as arguments of fn: each key must name a parameter of fn and hold the
+    type of its annotation (see check_type)."""
+    params = inspect.signature(fn).parameters
+    args = {k: v for k, v in spec.items() if k != "kind"}
+    for key, value in args.items():
+        if key not in params:
+            raise ConfigurationError(f"unknown config field '{name}.{key}'")
+        check_type(f"{name}.{key}", value, params[key].annotation)
+    return args
 
 
 @dataclass
@@ -40,6 +58,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, source_path=None) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigurationError("config must be a JSON object")
+        unknown = [key for key in raw if key not in _TOP_LEVEL_KEYS]
+        if unknown:
+            raise ConfigurationError(f"unknown config field {unknown[0]!r}")
+
         def need(key):
             if key not in raw:
                 raise ConfigurationError(f"config field {key!r} is required")
@@ -75,12 +99,13 @@ class ExperimentConfig:
             source_path=source_path,
         )
         check_field_types(cfg)
-        cfg.resolve_arch()  # fail fast on bad references
-        ds = cfg.dataset_spec
-        if isinstance(ds, dict) and ds.get("kind") == "directory":
-            if not os.path.isdir(ds.get("path", "")):
-                raise ConfigurationError(
-                    f"dataset directory {ds.get('path')!r} not found")
+        arch = cfg.resolve_arch()  # fail fast on bad references
+        if schedule.remove_layers:
+            arch.drop_layers(schedule.remove_layers)
+        _fn, args = cfg._dataset_source()
+        if "path" in args and not os.path.isdir(args["path"]):
+            raise ConfigurationError(
+                f"dataset directory {args['path']!r} not found")
         return cfg
 
     def resolve_arch(self) -> NetworkArch:
@@ -93,10 +118,7 @@ class ExperimentConfig:
             raise ConfigurationError("config field 'arch': expected path or object")
         kind = spec.get("kind", "inline")
         if kind == "toy_cnn":
-            return build_toy_cnn(
-                num_classes=spec.get("num_classes", 10),
-                image_shape=tuple(spec.get("image_shape", (1, 8, 8))),
-                widths=tuple(spec.get("widths", (8, 8, 16, 16))))
+            return build_toy_cnn(**_typed_args("arch", spec, build_toy_cnn))
         if kind == "file":
             path = spec.get("path")
             if not path or not os.path.exists(path):
@@ -106,23 +128,22 @@ class ExperimentConfig:
             return NetworkArch.from_dict(spec)
         raise ConfigurationError(f"config field 'arch': unknown kind {kind!r}")
 
-    def resolve_dataset(self) -> Dataset:
+    def _dataset_source(self):
+        """The function that makes the dataset, and its checked arguments."""
         spec = self.dataset_spec
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ConfigurationError("config field 'dataset': expected object with 'kind'")
         if spec["kind"] == "synthetic":
-            return synthetic_dataset(
-                num_classes=spec.get("num_classes", 10),
-                image_shape=tuple(spec.get("image_shape", (1, 8, 8))),
-                train_per_class=spec.get("train_per_class", 60),
-                test_per_class=spec.get("test_per_class", 20),
-                noise=spec.get("noise", 0.5),
-                seed=spec.get("seed", self.seed))
-        if spec["kind"] == "directory":
+            fn = synthetic_dataset
+        elif spec["kind"] == "directory":
             if "path" not in spec:
                 raise ConfigurationError("dataset kind 'directory' needs 'path'")
-            return load_directory(spec["path"],
-                                  test_fraction=spec.get("test_fraction", 0.2),
-                                  seed=spec.get("seed", self.seed))
-        raise ConfigurationError(
-            f"config field 'dataset': unknown kind {spec['kind']!r}")
+            fn = load_directory
+        else:
+            raise ConfigurationError(
+                f"config field 'dataset': unknown kind {spec['kind']!r}")
+        return fn, {"seed": self.seed, **_typed_args("dataset", spec, fn)}
+
+    def resolve_dataset(self) -> Dataset:
+        fn, args = self._dataset_source()
+        return fn(**args)

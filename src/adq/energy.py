@@ -80,12 +80,12 @@ def mac_count(shape: LayerShape) -> int:
     return shape.m * shape.m * shape.i * shape.p * shape.p * shape.o
 
 
-def analytical_layer_energy(shape: LayerShape, k: int,
-                            table: AnalyticalEnergyTable = ANALYTICAL_TABLE) -> float:
+def analytical_layer_energy(shape: LayerShape, k: int) -> float:
     """Layer energy in pJ at bit-width k (1..32)."""
     if not (1 <= k <= 32):
         raise InputError(f"bit-width {k} outside [1, 32]")
-    return mem_accesses(shape) * table.e_mem(k) + mac_count(shape) * table.e_mac(k)
+    return (mem_accesses(shape) * ANALYTICAL_TABLE.e_mem(k)
+            + mac_count(shape) * ANALYTICAL_TABLE.e_mac(k))
 
 
 def pim_round_bits(k: int) -> int:
@@ -231,24 +231,21 @@ def _network_energy(model, arch, assignment, prune_state, baseline_bits,
     return report
 
 
-def pim_network_energy(arch: NetworkArch, assignment, prune_state=None,
-                       table: PimEnergyTable = PIM_TABLE,
-                       baseline_bits: int = 16) -> EnergyReport:
+def pim_network_energy(arch: NetworkArch, assignment,
+                       prune_state=None) -> EnergyReport:
     """MAC-only PIM energy report; baseline is uniform 16-bit, unpruned."""
     def cost(s, k):
         pk = pim_round_bits(k)
-        return pk, mac_count(s) * table.e_mac(pk) / 1e3  # fJ -> pJ
-    return _network_energy("pim", arch, assignment, prune_state,
-                           baseline_bits, cost)
+        return pk, mac_count(s) * PIM_TABLE.e_mac(pk) / 1e3  # fJ -> pJ
+    return _network_energy("pim", arch, assignment, prune_state, 16, cost)
 
 
 def analytical_network_energy(arch: NetworkArch, assignment, prune_state=None,
-                              table: AnalyticalEnergyTable = ANALYTICAL_TABLE,
                               baseline_bits: int = 16) -> EnergyReport:
     """MAC + memory-access energy report; baseline is uniform `baseline_bits`,
     unpruned, over the same layer set."""
     def cost(s, k):
-        return None, analytical_layer_energy(s, k, table)
+        return None, analytical_layer_energy(s, k)
     return _network_energy("analytical", arch, assignment, prune_state,
                            baseline_bits, cost)
 

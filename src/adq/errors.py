@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the typed field check
-that raises ConfigurationError for every config dataclass."""
+"""Exception types shared across the package, and the type check that
+raises ConfigurationError for every config dataclass and object."""
 
 from dataclasses import fields
 
@@ -28,26 +28,40 @@ class TrainingDiverged(AdqError):
         self.checkpoint_path = checkpoint_path
 
 
-# a field's annotation -> (the JSON types it takes, how to name them)
+# an annotation -> (the JSON types it takes, how to name them)
 _FIELD_TYPES = {"int": (int, "an integer"),
                 "float": ((int, float), "a number"),
-                "bool": (bool, "true or false")}
+                "bool": (bool, "true or false"),
+                "str": (str, "a string"),
+                "tuple[int, ...]": ((list, tuple), "a list of integers")}
+
+
+def _holds(value, annotation):
+    allowed = _FIELD_TYPES[annotation][0]
+    if annotation == "tuple[int, ...]":
+        return (isinstance(value, allowed)
+                and all(_holds(v, "int") for v in value))
+    return (isinstance(value, bool) == (allowed is bool)
+            and isinstance(value, allowed))
+
+
+def check_type(name, value, annotation):
+    """Raise ConfigurationError unless value holds the JSON type that the
+    annotation names; a config file can give any.
+
+    A bool is not a number, an ``X | None`` annotation also takes None, and
+    ``tuple[int, ...]`` takes a list of integers. Other annotations are not
+    checked. Annotations are read as strings (``from __future__ import
+    annotations``).
+    """
+    base = annotation.removesuffix(" | None")
+    if (base in _FIELD_TYPES and not (value is None and base != annotation)
+            and not _holds(value, base)):
+        raise ConfigurationError(
+            f"{name} must be {_FIELD_TYPES[base][1]}, got {value!r}")
 
 
 def check_field_types(obj):
-    """Raise ConfigurationError unless every int, float and bool field of the
-    dataclass obj holds that JSON type; a config file can give any.
-
-    A bool is not a number, and an ``X | None`` field may also be None.
-    Other annotations are not checked. Annotations are read as strings
-    (``from __future__ import annotations``).
-    """
+    """check_type for every field of the dataclass obj."""
     for f in fields(obj):
-        name = f.type.removesuffix(" | None")
-        value = getattr(obj, f.name)
-        if name not in _FIELD_TYPES or (value is None and name != f.type):
-            continue
-        allowed, kind = _FIELD_TYPES[name]
-        if (isinstance(value, bool) != (allowed is bool)
-                or not isinstance(value, allowed)):
-            raise ConfigurationError(f"{f.name} must be {kind}, got {value!r}")
+        check_type(f.name, getattr(obj, f.name), f.type)

@@ -27,9 +27,10 @@ class Dataset:
         return tuple(self.x_train.shape[1:])
 
 
-def synthetic_dataset(num_classes=10, image_shape=(1, 8, 8),
-                      train_per_class=60, test_per_class=20,
-                      noise=0.5, seed=0) -> Dataset:
+def synthetic_dataset(num_classes: int = 10,
+                      image_shape: tuple[int, ...] = (1, 8, 8),
+                      train_per_class: int = 60, test_per_class: int = 20,
+                      noise: float = 0.5, seed: int = 0) -> Dataset:
     rng = np.random.Generator(np.random.PCG64(seed))
     protos = rng.normal(0.0, 1.0, (num_classes,) + tuple(image_shape))
 
@@ -49,7 +50,8 @@ def synthetic_dataset(num_classes=10, image_shape=(1, 8, 8),
     return Dataset(x_train, y_train, x_test, y_test)
 
 
-def load_directory(path, test_fraction=0.2, seed=0) -> Dataset:
+def load_directory(path: str, test_fraction: float = 0.2,
+                   seed: int = 0) -> Dataset:
     """Load a dataset from ``path/<label>/*.npy`` (one array per image).
 
     Labels are the integer subdirectory names; arrays must share one shape.

@@ -55,11 +55,9 @@ def init_state(arch: NetworkArch, seed: int) -> TrainState:
 @dataclass
 class ForwardCache:
     arch_hash: str
-    training: bool
     # layer id -> (input ids, kernel cache, per-input STE masks, weight mask)
     entries: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)  # layer id -> output array
-    batch: np.ndarray | None = None
 
 
 def _check_batch(arch: NetworkArch, batch):
@@ -141,8 +139,7 @@ def forward(arch: NetworkArch, state: TrainState, batch, hooks=(),
     Returns (logits, cache); cache feeds backward().
     """
     batch = _check_batch(arch, batch)
-    cache = ForwardCache(arch_hash=arch.arch_hash(), training=training,
-                         batch=batch)
+    cache = ForwardCache(arch_hash=arch.arch_hash())
     logits = _run_layers(arch, batch,
                          _kernel_params(arch, state, quantizer, True),
                          quantizer, training, hooks, set(raw_observers),

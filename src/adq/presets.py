@@ -26,17 +26,17 @@ RESNET18_CHANNELS = (64,) + (64, 64, 64, 64, 128, 128, 128, 128,
 RESNET18_STRIDES = (1, 1, 2, 1, 2, 1, 2, 1)
 
 
-def build_vgg19(num_classes=10, input_size=32, in_channels=3,
-                batchnorm=True) -> NetworkArch:
-    layers = []
-    nid = 0
-
+def _adder(layers):
+    """add(**spec) appends a LayerSpec with the next id and returns the id."""
     def add(**kw):
-        nonlocal nid
-        layers.append(LayerSpec(id=nid, **kw))
-        nid += 1
-        return nid - 1
+        layers.append(LayerSpec(id=len(layers), **kw))
+        return len(layers) - 1
+    return add
 
+
+def build_vgg19(num_classes=10, input_size=32, in_channels=3) -> NetworkArch:
+    layers = []
+    add = _adder(layers)
     cin = in_channels
     for item in VGG19_PLAN:
         if item == "M":
@@ -44,8 +44,7 @@ def build_vgg19(num_classes=10, input_size=32, in_channels=3,
             continue
         add(kind="conv2d", in_channels=cin, out_channels=item, kernel=3,
             stride=1, padding=1)
-        if batchnorm:
-            add(kind="batchnorm")
+        add(kind="batchnorm")
         add(kind="relu")
         cin = item
     add(kind="flatten")
@@ -55,20 +54,12 @@ def build_vgg19(num_classes=10, input_size=32, in_channels=3,
 
 
 def build_resnet18(num_classes=100, input_size=32, in_channels=3,
-                   batchnorm=True, always_project=False) -> NetworkArch:
+                   always_project=False) -> NetworkArch:
     layers = []
-    nid = 0
-
-    def add(**kw):
-        nonlocal nid
-        layers.append(LayerSpec(id=nid, **kw))
-        nid += 1
-        return nid - 1
-
+    add = _adder(layers)
     add(kind="conv2d", in_channels=in_channels, out_channels=64, kernel=3,
         stride=1, padding=1)
-    if batchnorm:
-        add(kind="batchnorm")
+    add(kind="batchnorm")
     prev = add(kind="relu")
     cin = 64
     for b in range(8):
@@ -79,21 +70,17 @@ def build_resnet18(num_classes=100, input_size=32, in_channels=3,
         skip_from = block_in
         conv1_kw = {}
         if project:
-            ds = add(kind="conv2d", in_channels=cin, out_channels=cout,
-                     kernel=1, stride=stride, padding=0)
-            skip_from = ds
-            if batchnorm:
-                skip_from = add(kind="batchnorm")
+            add(kind="conv2d", in_channels=cin, out_channels=cout,
+                kernel=1, stride=stride, padding=0)
+            skip_from = add(kind="batchnorm")
             conv1_kw["skip_source"] = block_in  # branch off the block input
         add(kind="conv2d", in_channels=cin, out_channels=cout, kernel=3,
             stride=stride, padding=1, **conv1_kw)
-        if batchnorm:
-            add(kind="batchnorm")
+        add(kind="batchnorm")
         add(kind="relu")
         add(kind="conv2d", in_channels=cout, out_channels=cout, kernel=3,
             stride=1, padding=1)
-        if batchnorm:
-            add(kind="batchnorm")
+        add(kind="batchnorm")
         add(kind="residual-add", skip_source=skip_from)
         prev = add(kind="relu")
         cin = cout
@@ -104,18 +91,13 @@ def build_resnet18(num_classes=100, input_size=32, in_channels=3,
                        num_classes)
 
 
-def build_toy_cnn(num_classes=10, image_shape=(1, 8, 8),
-                  widths=(8, 8, 16, 16)) -> NetworkArch:
+def build_toy_cnn(num_classes: int = 10,
+                  image_shape: tuple[int, ...] = (1, 8, 8),
+                  widths: tuple[int, ...] = (8, 8, 16, 16)) -> NetworkArch:
     """Small 4-conv network for desk-scale schedule runs."""
     c, h, w = image_shape
     layers = []
-    nid = 0
-
-    def add(**kw):
-        nonlocal nid
-        layers.append(LayerSpec(id=nid, **kw))
-        nid += 1
-
+    add = _adder(layers)
     cin = c
     for i, width in enumerate(widths):
         add(kind="conv2d", in_channels=cin, out_channels=width, kernel=3,

@@ -90,11 +90,6 @@ def fake_quant(x, qp: QuantParams):
     return q
 
 
-def ste_grad(upstream_grad, x, qp: QuantParams):
-    """Straight-through gradient: identity inside [x_min, x_max], zero outside."""
-    return np.asarray(upstream_grad) * ste_mask(x, qp)
-
-
 def ste_mask(x, qp: QuantParams):
     return (np.asarray(x) >= qp.x_min) & (np.asarray(x) <= qp.x_max)
 
@@ -152,25 +147,6 @@ class RangeTracker:
             "x_min": self.x_min,
             "x_max": self.x_max,
         }
-
-    @classmethod
-    def from_state(cls, d: dict) -> "RangeTracker":
-        return cls(
-            mode=d["mode"],
-            ema_decay=d["ema_decay"],
-            x_min=d["x_min"],
-            x_max=d["x_max"],
-        )
-
-
-def observe_range(tracker: RangeTracker, x) -> RangeTracker:
-    """Functional alias for RangeTracker.observe."""
-    return tracker.observe(x)
-
-
-def minmax_params(x, k: int) -> QuantParams:
-    x = np.asarray(x)
-    return QuantParams(k, float(x.min()), float(x.max()))
 
 
 @dataclass
@@ -250,8 +226,3 @@ class NetworkQuantizer:
             entry["k"] = self._site_bits(site)
             out["%s:%s" % site] = entry
         return out
-
-    def load_state(self, d: dict):
-        for key, st in d.items():
-            kind, _, lid = key.partition(":")
-            self.trackers[(kind, int(lid))] = RangeTracker.from_state(st)

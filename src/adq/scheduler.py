@@ -37,13 +37,10 @@ class BitWidthAssignment:
     iter: int = 0
 
     @classmethod
-    def initial(cls, arch: NetworkArch, initial_bits: int,
-                exempt=None) -> "BitWidthAssignment":
-        ids = arch.weighted_ids()
-        if exempt is None:
-            exempt = default_exempt(arch)
-        return cls(k={i: initial_bits for i in ids},
-                   exempt=frozenset(exempt), iter=0)
+    def initial(cls, arch: NetworkArch,
+                initial_bits: int) -> "BitWidthAssignment":
+        return cls(k={i: initial_bits for i in arch.weighted_ids()},
+                   exempt=default_exempt(arch), iter=0)
 
 
 @dataclass
@@ -68,7 +65,7 @@ class ScheduleConfig:
     final_convergence_epochs: int = 0
     prune_from_initial: bool = True  # False: multiply the current width instead
     strict_ad_pass: bool = False  # dedicated full-train-set AD pass per epoch
-    remove_layers: tuple = ()
+    remove_layers: tuple[int, ...] = ()
     batch_size: int = 64
     act_range_mode: str = "ema"
     ema_decay: float = 0.99
@@ -364,15 +361,13 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
 
     for it in range(1, config.max_iters + 1):
         quantizer = _build_quantizer(arch, assignment, config, quantizer)
-        obs = _iteration_observers(arch)
         iter_epochs = []
-        epochs_done = 0
         for _ in range(config.epoch_budget):
             epoch_global += 1
-            epochs_done += 1
-            loss = _train_epoch(arch, state, quantizer, dataset, config, optim,
-                                history, epoch_global, obs, diagnostics_dir,
-                                assignment, prune_state)
+            loss, scores = _train_epoch(arch, state, quantizer, dataset,
+                                        config, optim, history, epoch_global,
+                                        diagnostics_dir, assignment,
+                                        prune_state)
             acc = engine.accuracy(arch, state, dataset.x_test, dataset.y_test,
                                   quantizer)
             log.epoch_accuracy.append((epoch_global, acc))
@@ -387,7 +382,7 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
         record = IterationRecord(
             iter=it, bits=dict(assignment.k),
             channels=None if prune_state is None else dict(prune_state.channels),
-            epochs=epochs_done,
+            epochs=len(iter_epochs),
             network_ad=history.network_ad(epoch_global,
                                           config.network_ad_mode),
             test_accuracy=log.epoch_accuracy[-1][1],
@@ -411,19 +406,18 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
             assignment = new_assignment
             break
         if prune_state is not None and not chans_fixed:
-            kept = select_pruned_channels(new_prune, obs["channel_scores"]())
+            kept = select_pruned_channels(new_prune, scores)
             arch, state = rebuild_pruned(arch, state, new_prune, kept)
             quantizer.trackers = {}  # channel identities changed
         assignment, prune_state = new_assignment, new_prune
 
     # final convergence phase at the fixed assignment
     quantizer = _build_quantizer(arch, assignment, config, quantizer)
-    obs = _iteration_observers(arch)
     for _ in range(config.final_convergence_epochs):
         epoch_global += 1
         log.final_epochs += 1
         _train_epoch(arch, state, quantizer, dataset, config, optim,
-                     history, epoch_global, obs, diagnostics_dir,
+                     history, epoch_global, diagnostics_dir,
                      assignment, prune_state)
         acc = engine.accuracy(arch, state, dataset.x_test, dataset.y_test,
                               quantizer)
@@ -450,11 +444,14 @@ def _build_quantizer(arch, assignment, config, previous):
         trackers=previous.trackers if previous else {})
 
 
-def _iteration_observers(arch: NetworkArch):
-    """Build hook plumbing for one iteration's architecture.
+def _epoch_observer(arch: NetworkArch, history: ADHistory, epoch: int,
+                    prune: bool):
+    """The AD hook of one epoch, and the raw observer ids it needs.
 
-    AD counts are keyed by the weighted layer that produced the activation;
-    per-channel positive-fraction scores are kept for pruning.
+    The hook records each observed activation into history under the
+    main-chain weighted layers it belongs to. When prune is set it also
+    counts, into the returned dict, each such conv's positive values per
+    channel: {conv id: (positives per channel, values per channel)}.
     """
     points = observation_points(arch)
     on_main = set(main_chain_weighted_ids(arch))
@@ -465,47 +462,35 @@ def _iteration_observers(arch: NetworkArch):
     raw_ids = {obs
                for wid, (obs, is_relu) in points.items()
                if not is_relu and wid in on_main}
-    conv_ids = set(arch.conv_ids())
-    chan_nonzero = {}
-    chan_total = {}
-
-    sink = {"history": None, "epoch": None, "prune": False}
+    conv_ids = set(arch.conv_ids()) if prune else set()
+    counts = {}
 
     def hook(layer_id, tensor):
         for wid in by_obs.get(layer_id, ()):
-            sink["history"].record(wid, sink["epoch"], tensor)
-            if sink["prune"] and wid in conv_ids and tensor.ndim == 4:
-                pos = (tensor > 0).sum(axis=(0, 2, 3))
-                n = tensor.shape[0] * tensor.shape[2] * tensor.shape[3]
-                if wid not in chan_nonzero:
-                    chan_nonzero[wid] = np.zeros(tensor.shape[1])
-                    chan_total[wid] = 0
-                chan_nonzero[wid] += pos
-                chan_total[wid] += n
+            history.record(wid, epoch, tensor)
+            if wid in conv_ids and tensor.ndim == 4:
+                pos, n = counts.get(wid, (0, 0))
+                counts[wid] = (pos + (tensor > 0).sum(axis=(0, 2, 3)),
+                               n + tensor.size // tensor.shape[1])
 
-    def channel_scores():
-        return {lid: chan_nonzero[lid] / max(chan_total[lid], 1)
-                for lid in chan_nonzero}
-
-    return {"hook": hook, "raw_ids": raw_ids, "sink": sink,
-            "channel_scores": channel_scores,
-            "reset_scores": lambda: (chan_nonzero.clear(), chan_total.clear())}
+    return hook, raw_ids, counts
 
 
 def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
-                 epoch, obs, diagnostics_dir, assignment, prune_state):
-    obs["sink"]["history"] = history
-    obs["sink"]["epoch"] = epoch
-    obs["sink"]["prune"] = config.pruning_enabled
-    obs["reset_scores"]()
+                 epoch, diagnostics_dir, assignment, prune_state):
+    """Train one epoch, recording its AD into history. Returns the mean
+    loss and, when pruning, each conv's positive fraction per channel over
+    the epoch's observed activations ({} otherwise)."""
+    hook, raw_ids, counts = _epoch_observer(arch, history, epoch,
+                                            config.pruning_enabled)
     quantizer.training = True
-    train_hooks = () if config.strict_ad_pass else (obs["hook"],)
+    train_hooks = () if config.strict_ad_pass else (hook,)
     losses = []
     for bx, by in iter_batches(dataset.x_train, dataset.y_train,
                                config.batch_size, state.rng):
         logits, cache = engine.forward(arch, state, bx, hooks=train_hooks,
                                        quantizer=quantizer, training=True,
-                                       raw_observers=obs["raw_ids"])
+                                       raw_observers=raw_ids)
         loss, lgrad = engine.loss_softmax_xent(logits, by)
         if not np.isfinite(loss):
             path = None
@@ -524,7 +509,8 @@ def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
     if config.strict_ad_pass:
         # dedicated full-train-set pass with the post-epoch model
         engine.eval_logits(arch, state, dataset.x_train, quantizer,
-                           config.batch_size, hooks=(obs["hook"],),
-                           raw_observers=obs["raw_ids"])
+                           config.batch_size, hooks=(hook,),
+                           raw_observers=raw_ids)
     state.epoch = epoch
-    return float(np.mean(losses))
+    scores = {lid: pos / n for lid, (pos, n) in counts.items()}
+    return float(np.mean(losses)), scores

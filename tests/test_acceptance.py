@@ -17,7 +17,7 @@ from adq.energy import (pim_network_energy, training_complexity)
 from adq.nn.data import synthetic_dataset
 from adq.nn.engine import OptimConfig
 from adq.presets import BASELINE_EPOCH_TOTALS, build_toy_cnn, get_preset
-from adq.quant import fake_quant, minmax_params, quantize
+from adq.quant import QuantParams, fake_quant, quantize
 from adq.reproduce import compute_table
 from adq.scheduler import (BitWidthAssignment, ScheduleConfig, run_schedule,
                            update_bitwidths)
@@ -135,7 +135,7 @@ def test_criterion_7_quantizer_suite():
     violations = {"monotone": 0, "idempotent": 0, "levels": 0, "roundtrip": 0}
     for k in (1, 2, 4, 8, 16):
         x = rng.normal(0.0, 2.0, 10_000)
-        qp = minmax_params(x, k)
+        qp = QuantParams(k, float(x.min()), float(x.max()))
         xs = np.sort(x)
         if np.any(np.diff(quantize(xs, qp)) < 0):
             violations["monotone"] += 1

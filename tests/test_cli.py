@@ -73,11 +73,13 @@ class TestTrain:
                 b2 = f.read()
             assert b1 == b2, fn
 
-    def test_pruning_run_matches_channel_oracle(self, tmp_path):
+    @pytest.mark.parametrize("from_initial", [True, False])
+    def test_pruning_run_matches_channel_oracle(self, tmp_path, from_initial):
         import csv as csvmod
         import math
         cfg_path, outdir = _write_config(
-            tmp_path, {"schedule": {"pruning_enabled": True, "max_iters": 3}})
+            tmp_path, {"schedule": {"pruning_enabled": True, "max_iters": 3,
+                                    "prune_from_initial": from_initial}})
         assert main(["train", "-c", str(cfg_path)]) == 0
         with open(os.path.join(outdir, "schedule_log.json")) as f:
             log = json.load(f)
@@ -88,12 +90,18 @@ class TestTrain:
         rows = log["iterations"]
         initial = {lid: c for lid, c in rows[0]["channels"].items()}
         epoch_end = 0
+        rules_differ = False
         for prev, cur in zip(rows, rows[1:]):
             epoch_end += prev["epochs"]
             for lid, c_prev in prev["channels"].items():
-                want = max(1, min(c_prev, math.floor(
-                    initial[lid] * ad[(int(lid), epoch_end)] + 0.5)))
-                assert cur["channels"][lid] == want
+                want = {ref: max(1, min(c_prev, math.floor(
+                    ref * ad[(int(lid), epoch_end)] + 0.5)))
+                    for ref in (initial[lid], c_prev)}
+                assert cur["channels"][lid] == \
+                    want[initial[lid] if from_initial else c_prev]
+                rules_differ |= len(set(want.values())) > 1
+        # the run tells the two rules apart
+        assert rules_differ
 
     @pytest.mark.parametrize("schedule", [
         {"batch_size": 0},
@@ -105,6 +113,10 @@ class TestTrain:
         {"epoch_budget": 6.5},
         {"pruning_enabled": "false"},
         {"strict_ad_pass": "no"},
+        {"remove_layers": 3},
+        {"remove_layers": ["a"]},
+        {"remove_layers": [999]},
+        {"remove_layers": [True]},
     ])
     def test_bad_schedule_field_rejected_at_load(self, tmp_path, capsys,
                                                  schedule):
@@ -125,6 +137,15 @@ class TestTrain:
         {"optimizer": {"eps": 0.0}},
         {"optimizer": {"weight_decay": -1e-4}},
         {"optimizer": {"weight_decay": False}},
+        {"energy_modle": "pim"},
+        {"dataset": {"train_per_class": "5"}},
+        {"dataset": {"noise": "x"}},
+        {"dataset": {"seed": None}},
+        {"dataset": {"nosie": 0.9}},
+        {"arch": {"widths": "ab"}},
+        {"arch": {"image_shape": [1, 8.0, 8]}},
+        {"arch": {"num_classes": True}},
+        {"arch": {"width": [4, 4, 6, 6]}},
     ])
     def test_bad_top_level_or_optimizer_field_rejected_at_load(
             self, tmp_path, capsys, overrides):

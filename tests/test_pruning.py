@@ -4,6 +4,7 @@ table-driven rebuild held to the former mirroring rebuild bit for bit."""
 import numpy as np
 import pytest
 
+from adq import scheduler
 from adq.energy import pim_network_energy
 from adq.nn.arch import LayerSpec, NetworkArch
 from adq.nn.data import synthetic_dataset
@@ -159,3 +160,38 @@ class TestRebuildParity:
             assert new_state.rng is state.rng
             assert new_state.epoch == old_state.epoch
             arch, state = new_arch, new_state
+
+
+class TestPruningScores:
+    @pytest.mark.parametrize("strict_ad_pass", [False, True])
+    def test_scores_are_the_last_epochs_densities(self, monkeypatch,
+                                                  strict_ad_pass):
+        """Each conv's channel scores average to its AD in the last epoch of
+        the iteration they prune after."""
+        calls, epoch_end = [], [0]
+        select = scheduler.select_pruned_channels
+
+        def capture(prune_state, scores):
+            calls.append((epoch_end[0], dict(scores)))
+            return select(prune_state, scores)
+
+        def on_iteration(it, arch, state, assignment, prune_state, history,
+                         record):
+            epoch_end[0] += record.epochs
+
+        monkeypatch.setattr(scheduler, "select_pruned_channels", capture)
+        ds = synthetic_dataset(num_classes=10, image_shape=(1, 8, 8),
+                               train_per_class=12, test_per_class=6,
+                               noise=0.4, seed=3)
+        cfg = ScheduleConfig(max_iters=3, epoch_budget=3,
+                             saturation_window=2, saturation_epsilon=0.003,
+                             pruning_enabled=True,
+                             strict_ad_pass=strict_ad_pass)
+        res = run_schedule(build_toy_cnn(widths=(4, 4, 6, 6)), ds, cfg,
+                           seed=7, iteration_callback=on_iteration)
+        assert calls
+        for epoch, scores in calls:
+            assert scores
+            for lid, s in scores.items():
+                assert np.mean(s) == pytest.approx(
+                    res.ad_history.layer_ad(lid, epoch), rel=1e-12)
