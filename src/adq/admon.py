@@ -128,28 +128,19 @@ class ADHistory:
         ]
 
 
-def observation_points(arch: NetworkArch) -> dict[int, tuple[int, bool]]:
+def observation_points(arch: NetworkArch) -> dict[int, int]:
     """Map each weighted layer to its activation observation point.
 
-    Returns {weighted_layer_id: (observed_layer_id, observed_is_relu)}. The
-    observation point is the first ReLU downstream of the layer before the
-    next weighted layer; a weighted layer with no such ReLU (e.g. the final
-    classifier) observes its own raw output.
+    Returns {weighted_layer_id: observed_layer_id}. The observation point is
+    the first ReLU (an ``observed`` kind) after the layer and before the
+    next weighted layer, in layer order; a weighted layer with no such ReLU
+    (e.g. the final classifier) observes its own raw output.
     """
     points = {}
-    layers = arch.layers
-    for i, spec in enumerate(layers):
-        if not spec.weighted:
-            continue
-        found = None
-        for nxt in layers[i + 1:]:
-            if nxt.weighted:
-                break
-            if KINDS[nxt.kind].observed:
-                found = nxt.id
-                break
-        if found is None:
-            points[spec.id] = (spec.id, False)
-        else:
-            points[spec.id] = (found, True)
+    pending = None  # the last weighted layer, until a ReLU observes it
+    for spec in arch.layers:
+        if spec.weighted:
+            points[spec.id] = pending = spec.id
+        elif KINDS[spec.kind].observed and pending is not None:
+            points[pending], pending = spec.id, None
     return points

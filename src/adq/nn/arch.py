@@ -1,5 +1,5 @@
 """Network architecture description: layer kinds, layer specs, shape
-inference, JSON I/O.
+inference, skip connections, JSON I/O.
 
 ``KINDS`` is the one place that defines a layer kind. Its entry says which
 spec fields the kind reads, how it transforms its input shape, which
@@ -170,7 +170,7 @@ class LayerKind:
     trainable: tuple = ()  # the parameters the optimizer updates
     init: Callable | None = None  # (spec, output shape, rng) -> parameters
     weighted: bool = False  # quantized weights and input; costed by energy
-    observed: bool = False  # output reported to forward hooks (AD sites)
+    observed: bool = False  # an AD site (see adq.admon.observation_points)
     # (spec, input selections, input shapes, kept, channels) -> selection
     select: Callable = _pass_selection
 
@@ -246,6 +246,8 @@ class NetworkArch:
                               compare=False)
     _shapes: dict | None = field(default=None, init=False, repr=False,
                                  compare=False)
+    _skips: dict | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         self.input_shape = tuple(self.input_shape)
@@ -395,3 +397,51 @@ class NetworkArch:
                 )
         return NetworkArch(kept, self.input_shape, self.num_classes)
 
+
+
+# --------------------------------------------------------- skip connections
+
+def skip_topology(arch: NetworkArch) -> dict:
+    """Resolve residual-add wiring: {add_id: {"destination": conv_id,
+    "skip_convs": [conv ids on the skip path, nearest the add first]}}.
+
+    A layer's chain is the weighted layers on its input-0 path. An add's
+    destination ends its main input's chain; its skip convs are its skip
+    input's chain less the main one. Resolved in one pass on first use and
+    kept on the architecture; callers must not edit the result.
+    """
+    if arch._skips is None:
+        chains, info = {-1: ()}, {}
+        for spec in arch.layers:
+            main, *skip = [chains[src] for src in arch.input_ids(spec.id)]
+            chains[spec.id] = main + (spec.id,) if spec.weighted else main
+            if not skip:
+                continue
+            if not main:
+                raise ConfigurationError(f"layer {spec.id}: residual-add has "
+                                         "no weighted main ancestor")
+            info[spec.id] = {"destination": main[-1], "skip_convs": [
+                cid for cid in reversed(skip[0]) if cid not in main]}
+        arch._skips = info
+    return arch._skips
+
+
+def inherit_from_destinations(arch: NetworkArch, values: dict) -> dict:
+    """The skip-connection rule: a copy of `values` ({layer id: bit-width,
+    channel count or kept channels}) in which every skip-path convolution
+    takes the value of its skip connection's destination layer. Skip convs
+    whose destination has no value keep their own."""
+    out = dict(values)
+    for t in skip_topology(arch).values():
+        if t["destination"] in out:
+            for cid in t["skip_convs"]:
+                out[cid] = out[t["destination"]]
+    return out
+
+
+def main_chain_weighted_ids(arch: NetworkArch) -> list[int]:
+    """Weighted layers excluding those on skip paths (which carry no
+    densities of their own)."""
+    on_skip = {cid for t in skip_topology(arch).values()
+               for cid in t["skip_convs"]}
+    return [i for i in arch.weighted_ids() if i not in on_skip]

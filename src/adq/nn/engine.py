@@ -85,12 +85,11 @@ def _kernel_params(arch: NetworkArch, state: TrainState, quantizer, masks):
     return out
 
 
-def _run_layers(arch, batch, params, quantizer, training, hooks,
-                raw_observers, cache=None):
+def _run_layers(arch, batch, params, quantizer, training, observe, cache=None):
     """The layer loop of every pass; returns the logits. With a cache it
     records what backward() reads: each layer's output, kernel cache and
     STE masks. Without one it keeps none of them, and drops each output
-    after its last reader."""
+    after its last reader. observe is forward()'s, or {}."""
     keep = cache is not None
     outputs = cache.outputs if keep else {}
     outputs[-1] = batch
@@ -112,12 +111,8 @@ def _run_layers(arch, batch, params, quantizer, training, hooks,
         # looked up per call, so a rebound kernel attribute is honoured
         out, kc = getattr(L, f"{kind.kernel}_forward")(
             *xs, *layer_params, *kind.args(spec, training))
-        if kind.observed:
-            for hook in hooks:
-                hook(spec.id, out)
-        if spec.id in raw_observers:
-            for hook in hooks:
-                hook(spec.id, out)
+        if spec.id in observe:
+            observe[spec.id](out)
         outputs[spec.id] = out
         if keep:
             cache.entries[spec.id] = (srcs, kc, masks, w_mask)
@@ -128,22 +123,20 @@ def _run_layers(arch, batch, params, quantizer, training, hooks,
     return out
 
 
-def forward(arch: NetworkArch, state: TrainState, batch, hooks=(),
-            quantizer=None, training=True, raw_observers=()):
+def forward(arch: NetworkArch, state: TrainState, batch, observe=None,
+            quantizer=None, training=True):
     """Run the network on a batch.
 
-    hooks: callables ``hook(layer_id, tensor)`` invoked exactly once per ReLU
-    layer per call with the post-ReLU output. raw_observers: layer ids whose
-    raw output is also reported to the hooks (used for weighted layers with
-    no downstream ReLU).
-    Returns (logits, cache); cache feeds backward().
+    observe: {layer id: callable(output)}; each callable is invoked exactly
+    once per call with its layer's output, and no other layer's output is
+    reported (the scheduler's AD sites). Returns (logits, cache); cache
+    feeds backward().
     """
     batch = _check_batch(arch, batch)
     cache = ForwardCache(arch_hash=arch.arch_hash())
     logits = _run_layers(arch, batch,
                          _kernel_params(arch, state, quantizer, True),
-                         quantizer, training, hooks, set(raw_observers),
-                         cache)
+                         quantizer, training, observe or {}, cache)
     return logits, cache
 
 
@@ -273,22 +266,20 @@ def optimizer_step(state: TrainState, grads: dict, config: OptimConfig):
     return state
 
 
-def eval_logits(arch, state, x, quantizer=None, batch_size=256, hooks=(),
-                raw_observers=()):
+def eval_logits(arch, state, x, quantizer=None, batch_size=256, observe=None):
     """Logits of x in evaluation mode, batch_size samples per layer loop.
 
     The loop is forward()'s, keeping no backward state, and the weights are
-    fake-quantized once per call. hooks and raw_observers are forward()'s.
+    fake-quantized once per call. observe is forward()'s, called per batch.
     The quantizer's ranges stay frozen and its mode is restored on return.
     """
-    raw_observers = set(raw_observers)
     was_training = getattr(quantizer, "training", None)
     if quantizer is not None:
         quantizer.training = False
     try:
         params = _kernel_params(arch, state, quantizer, False)
         logits = [_run_layers(arch, _check_batch(arch, x[i:i + batch_size]),
-                              params, quantizer, False, hooks, raw_observers)
+                              params, quantizer, False, observe or {})
                   for i in range(0, len(x), batch_size)]
     finally:
         if quantizer is not None and was_training is not None:

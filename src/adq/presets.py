@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from adq.errors import InputError
-from adq.nn.arch import LayerSpec, NetworkArch
-from adq.scheduler import inherit_from_destinations, main_chain_weighted_ids
+from adq.nn.arch import (LayerSpec, NetworkArch, inherit_from_destinations,
+                         main_chain_weighted_ids)
 
 VGG19_PLAN = (64, 64, "M", 128, 128, "M", 256, 256, 256, 256, "M",
               512, 512, 512, 512, "M", 512, 512, 512, 512, "M")

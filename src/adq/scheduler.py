@@ -7,21 +7,24 @@ follow C_l <- round(C_initial_l * AD_l) clamped to >= 1. The first weighted
 layer and the final fully-connected layer are exempt from bit-width changes.
 Layers on residual skip paths carry no densities of their own: their
 bit-widths and channel counts are inherited from the destination layer of
-the skip connection (``inherit_from_destinations``). The rule is applied
-where assignments are made, so every reader of an assignment (the
-quantizer, energy reports, checkpoints and logs) sees the inherited values.
+the skip connection (``adq.nn.arch.inherit_from_destinations``). The rule
+is applied where assignments are made, so every reader of an assignment
+(the quantizer, energy reports, checkpoints and logs) sees the inherited
+values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict, replace
+from functools import partial
 
 import numpy as np
 
 from adq.admon import ADHistory, observation_points
 from adq.errors import (ConfigurationError, InputError, TrainingDiverged,
                         check_field_types)
-from adq.nn.arch import KINDS, NetworkArch
+from adq.nn.arch import (KINDS, NetworkArch, inherit_from_destinations,
+                         main_chain_weighted_ids, skip_topology)
 from adq.nn import engine
 from adq.nn.checkpoint import save_checkpoint
 from adq.nn.data import iter_batches
@@ -159,67 +162,6 @@ def select_pruned_channels(prune_state: PruneState,
 
 # --------------------------------------------------------- skip connections
 
-def skip_topology(arch: NetworkArch) -> dict:
-    """Resolve residual-add wiring.
-
-    Returns {add_id: {"destination": conv_id, "skip_convs": [conv ids on the
-    skip path]}}. The destination of a skip connection is the weighted layer
-    feeding the residual-add on the main branch; skip-path convolutions are
-    the weighted layers reachable from the skip input before it rejoins the
-    main branch.
-    """
-    info = {}
-    for spec in arch.layers:
-        if spec.kind != "residual-add":
-            continue
-        main_src, skip_src = arch.input_ids(spec.id)
-        dest = _weighted_ancestor(arch, main_src)
-        if dest is None:
-            raise ConfigurationError(
-                f"layer {spec.id}: residual-add has no weighted main ancestor")
-        main_anc = _ancestry(arch, main_src)
-        skip_convs = []
-        cur = skip_src
-        while cur not in main_anc and cur != -1:
-            if arch.layer(cur).weighted:
-                skip_convs.append(cur)
-            cur = arch.input_ids(cur)[0]
-        info[spec.id] = {"destination": dest, "skip_convs": skip_convs}
-    return info
-
-
-def _ancestry(arch, layer_id):
-    seen = set()
-    cur = layer_id
-    while cur != -1 and cur not in seen:
-        seen.add(cur)
-        cur = arch.input_ids(cur)[0]
-    seen.add(-1)
-    return seen
-
-
-def _weighted_ancestor(arch, layer_id):
-    cur = layer_id
-    while cur != -1:
-        if arch.layer(cur).weighted:
-            return cur
-        cur = arch.input_ids(cur)[0]
-    return None
-
-
-def inherit_from_destinations(arch: NetworkArch, values: dict) -> dict:
-    """The skip-connection rule: a copy of `values` ({layer id: bit-width or
-    channel count}) in which every skip-path convolution takes the value of
-    its skip connection's destination layer. Skip convs whose destination
-    has no value keep their own."""
-    out = dict(values)
-    for t in skip_topology(arch).values():
-        if t["destination"] in out:
-            for cid in t["skip_convs"]:
-                out[cid] = out[t["destination"]]
-    return out
-
-
 def propagate_skip_bitwidths(arch: NetworkArch,
                              assignment: BitWidthAssignment) -> dict:
     """Effective bit-widths after applying the skip-connection rule.
@@ -233,15 +175,6 @@ def propagate_skip_bitwidths(arch: NetworkArch,
     edge_bits = {add_id: layer_bits[t["destination"]]
                  for add_id, t in skip_topology(arch).items()}
     return {"layer_bits": layer_bits, "skip_edge_bits": edge_bits}
-
-
-def main_chain_weighted_ids(arch: NetworkArch) -> list[int]:
-    """Weighted layers excluding those on skip paths (which carry no
-    densities of their own)."""
-    on_skip = set()
-    for t in skip_topology(arch).values():
-        on_skip.update(t["skip_convs"])
-    return [i for i in arch.weighted_ids() if i not in on_skip]
 
 
 # ------------------------------------------------------------------ rebuild
@@ -446,34 +379,30 @@ def _build_quantizer(arch, assignment, config, previous):
 
 def _epoch_observer(arch: NetworkArch, history: ADHistory, epoch: int,
                     prune: bool):
-    """The AD hook of one epoch, and the raw observer ids it needs.
+    """The AD observers of one epoch: {observed layer id: callable(output)}
+    for the engine's observe map, and the dict they count into.
 
-    The hook records each observed activation into history under the
-    main-chain weighted layers it belongs to. When prune is set it also
-    counts, into the returned dict, each such conv's positive values per
-    channel: {conv id: (positives per channel, values per channel)}.
+    Each observer records its activation into history under the main-chain
+    weighted layers observed there. When prune is set it also counts, into
+    the returned dict, each such conv's positive values per channel:
+    {conv id: (positives per channel, values per channel)}.
     """
     points = observation_points(arch)
-    on_main = set(main_chain_weighted_ids(arch))
     by_obs = {}
-    for wid, (obs_id, _is_relu) in points.items():
-        if wid in on_main:
-            by_obs.setdefault(obs_id, []).append(wid)
-    raw_ids = {obs
-               for wid, (obs, is_relu) in points.items()
-               if not is_relu and wid in on_main}
+    for wid in main_chain_weighted_ids(arch):
+        by_obs.setdefault(points[wid], []).append(wid)
     conv_ids = set(arch.conv_ids()) if prune else set()
     counts = {}
 
-    def hook(layer_id, tensor):
-        for wid in by_obs.get(layer_id, ()):
+    def record(wids, tensor):
+        for wid in wids:
             history.record(wid, epoch, tensor)
             if wid in conv_ids and tensor.ndim == 4:
                 pos, n = counts.get(wid, (0, 0))
                 counts[wid] = (pos + (tensor > 0).sum(axis=(0, 2, 3)),
                                n + tensor.size // tensor.shape[1])
 
-    return hook, raw_ids, counts
+    return {obs: partial(record, wids) for obs, wids in by_obs.items()}, counts
 
 
 def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
@@ -481,16 +410,15 @@ def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
     """Train one epoch, recording its AD into history. Returns the mean
     loss and, when pruning, each conv's positive fraction per channel over
     the epoch's observed activations ({} otherwise)."""
-    hook, raw_ids, counts = _epoch_observer(arch, history, epoch,
-                                            config.pruning_enabled)
+    observe, counts = _epoch_observer(arch, history, epoch,
+                                      config.pruning_enabled)
     quantizer.training = True
-    train_hooks = () if config.strict_ad_pass else (hook,)
     losses = []
     for bx, by in iter_batches(dataset.x_train, dataset.y_train,
                                config.batch_size, state.rng):
-        logits, cache = engine.forward(arch, state, bx, hooks=train_hooks,
-                                       quantizer=quantizer, training=True,
-                                       raw_observers=raw_ids)
+        logits, cache = engine.forward(
+            arch, state, bx, None if config.strict_ad_pass else observe,
+            quantizer=quantizer, training=True)
         loss, lgrad = engine.loss_softmax_xent(logits, by)
         if not np.isfinite(loss):
             path = None
@@ -509,8 +437,7 @@ def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
     if config.strict_ad_pass:
         # dedicated full-train-set pass with the post-epoch model
         engine.eval_logits(arch, state, dataset.x_train, quantizer,
-                           config.batch_size, hooks=(hook,),
-                           raw_observers=raw_ids)
+                           config.batch_size, observe)
     state.epoch = epoch
     scores = {lid: pos / n for lid, (pos, n) in counts.items()}
     return float(np.mean(losses)), scores

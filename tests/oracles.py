@@ -1,13 +1,15 @@
 """Independent reference implementations used as test oracles.
 
 Most of it shares no code with the package internals and is deliberately
-naive (nested loops, direct formulas). Four pieces are the package's former
+naive (nested loops, direct formulas). Five pieces are the package's former
 code, kept as a bit-for-bit reference: the einsum convolution kernels; the
 quantizer and batchnorm forward that allocated a new array per operation;
 the pruning rebuild that mirrored skip-path convs onto their destinations
 and walked back from each linear layer to the flatten (it builds its result
-with the package's architecture and engine); and the evaluation that ran
-the training forward batch by batch (``predict``, ``eval_logits``).
+with the package's architecture and engine); the evaluation that ran the
+training forward batch by batch (``predict``, ``eval_logits``); and the
+graph walks that resolved skip connections and AD observation points per
+call (``skip_topology``, ``observation_points``).
 """
 
 from dataclasses import replace
@@ -16,11 +18,11 @@ import numpy as np
 
 from adq.errors import ConfigurationError, InputError
 from adq.nn import engine
-from adq.nn.arch import NetworkArch
+from adq.nn.arch import KINDS, NetworkArch
 from adq.nn.engine import forward
 from adq.nn.layers import BN_EPS
 from adq.quant import QuantParams
-from adq.scheduler import PruneState, skip_topology
+from adq.scheduler import PruneState
 
 
 def naive_conv2d(x, w, b, stride=1, padding=0):
@@ -385,8 +387,8 @@ def predict(arch, state, x, quantizer=None, batch_size=256):
     return np.concatenate(outs) if outs else np.empty(0, dtype=int)
 
 
-def eval_logits(arch, state, x, quantizer=None, batch_size=256, hooks=(),
-                raw_observers=()):
+def eval_logits(arch, state, x, quantizer=None, batch_size=256,
+                observe=None):
     """``engine.eval_logits`` as the former strict AD pass computed it: the
     training forward, batch by batch, with the quantizer in evaluation
     mode."""
@@ -394,12 +396,88 @@ def eval_logits(arch, state, x, quantizer=None, batch_size=256, hooks=(),
     if quantizer is not None:
         quantizer.training = False
     try:
-        logits = [forward(arch, state, x[i:i + batch_size], hooks=hooks,
-                          quantizer=quantizer, training=False,
-                          raw_observers=raw_observers)[0]
+        logits = [forward(arch, state, x[i:i + batch_size], observe,
+                          quantizer=quantizer, training=False)[0]
                   for i in range(0, len(x), batch_size)]
     finally:
         if quantizer is not None and was_training is not None:
             quantizer.training = was_training
     return (np.concatenate(logits) if logits
             else np.empty((0, arch.num_classes)))
+
+
+# -------------------------------------------- former skip and AD-site walks
+
+def skip_topology(arch: NetworkArch) -> dict:
+    """Resolve residual-add wiring.
+
+    Returns {add_id: {"destination": conv_id, "skip_convs": [conv ids on the
+    skip path]}}. The destination of a skip connection is the weighted layer
+    feeding the residual-add on the main branch; skip-path convolutions are
+    the weighted layers reachable from the skip input before it rejoins the
+    main branch.
+    """
+    info = {}
+    for spec in arch.layers:
+        if spec.kind != "residual-add":
+            continue
+        main_src, skip_src = arch.input_ids(spec.id)
+        dest = _weighted_ancestor(arch, main_src)
+        if dest is None:
+            raise ConfigurationError(
+                f"layer {spec.id}: residual-add has no weighted main ancestor")
+        main_anc = _ancestry(arch, main_src)
+        skip_convs = []
+        cur = skip_src
+        while cur not in main_anc and cur != -1:
+            if arch.layer(cur).weighted:
+                skip_convs.append(cur)
+            cur = arch.input_ids(cur)[0]
+        info[spec.id] = {"destination": dest, "skip_convs": skip_convs}
+    return info
+
+
+def _ancestry(arch, layer_id):
+    seen = set()
+    cur = layer_id
+    while cur != -1 and cur not in seen:
+        seen.add(cur)
+        cur = arch.input_ids(cur)[0]
+    seen.add(-1)
+    return seen
+
+
+def _weighted_ancestor(arch, layer_id):
+    cur = layer_id
+    while cur != -1:
+        if arch.layer(cur).weighted:
+            return cur
+        cur = arch.input_ids(cur)[0]
+    return None
+
+
+def observation_points(arch: NetworkArch) -> dict[int, tuple[int, bool]]:
+    """Map each weighted layer to its activation observation point.
+
+    Returns {weighted_layer_id: (observed_layer_id, observed_is_relu)}. The
+    observation point is the first ReLU downstream of the layer before the
+    next weighted layer; a weighted layer with no such ReLU (e.g. the final
+    classifier) observes its own raw output.
+    """
+    points = {}
+    layers = arch.layers
+    for i, spec in enumerate(layers):
+        if not spec.weighted:
+            continue
+        found = None
+        for nxt in layers[i + 1:]:
+            if nxt.weighted:
+                break
+            if KINDS[nxt.kind].observed:
+                found = nxt.id
+                break
+        if found is None:
+            points[spec.id] = (spec.id, False)
+        else:
+            points[spec.id] = (found, True)
+    return points

@@ -189,15 +189,12 @@ class TestObservationPoints:
         pts = observation_points(arch)
         for spec in arch.layers:
             if spec.kind == "conv2d":
-                obs_id, is_relu = pts[spec.id]
-                assert is_relu
-                assert arch.layer(obs_id).kind == "relu"
+                assert arch.layer(pts[spec.id]).kind == "relu"
 
     def test_final_classifier_observes_raw_output(self):
         arch = build_toy_cnn()
         fc = [l.id for l in arch.layers if l.kind == "linear"][-1]
-        obs_id, is_relu = observation_points(arch)[fc]
-        assert obs_id == fc and not is_relu
+        assert observation_points(arch)[fc] == fc
 
     def test_resnet_block_conv2_observes_post_add_relu(self):
         arch = build_resnet18(num_classes=10, input_size=32)
@@ -211,4 +208,4 @@ class TestObservationPoints:
                 main_src = arch.input_ids(spec.id)[0]
                 while arch.layer(main_src).kind not in ("conv2d", "linear"):
                     main_src = arch.input_ids(main_src)[0]
-                assert pts[main_src] == (relu_after.id, True)
+                assert pts[main_src] == relu_after.id

@@ -202,10 +202,12 @@ class TestObservers:
         state = init_state(arch, seed=2)
         x = np.random.default_rng(10).normal(size=(5, 1, 6, 6))
         seen = []
-        forward(arch, state, x, hooks=(lambda lid, t: seen.append((lid, t.size)),))
         relu_ids = [l.id for l in arch.layers if l.kind == "relu"]
-        assert [lid for lid, _ in seen] == relu_ids
-        total_reported = sum(n for _, n in seen)
+        forward(arch, state, x, {lid: lambda t, lid=lid: seen.append(
+            (lid, t.size, t.min())) for lid in relu_ids})
+        assert [lid for lid, _, _ in seen] == relu_ids
+        assert all(low >= 0 for _, _, low in seen)  # post-relu outputs
+        total_reported = sum(n for _, n, _ in seen)
         assert total_reported == 5 * 3 * 36 + 5 * 4 * 36
 
     def test_raw_observer_reports_requested_layer(self):
@@ -216,5 +218,5 @@ class TestObservers:
         state = init_state(arch, seed=0)
         seen = []
         forward(arch, state, np.zeros((3, 4, 1, 1)),
-                hooks=(lambda lid, t: seen.append(lid),), raw_observers={1})
-        assert seen == [1]
+                {1: lambda t: seen.append(t.shape)})
+        assert seen == [(3, 2)]
