@@ -7,6 +7,8 @@ import json
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from adq.errors import ConfigurationError, check_field_types, check_type
 from adq.nn.arch import NetworkArch
 from adq.nn.data import Dataset, load_directory, synthetic_dataset
@@ -18,17 +20,31 @@ from adq.scheduler import ScheduleConfig
 _TOP_LEVEL_KEYS = ("seed", "output_dir", "arch", "dataset", "schedule",
                    "optimizer", "energy_model", "baseline_epoch_total")
 
+# argument name -> (what a valid value must be, its test), for the dataset
+# and arch arguments, checked after their types
+_VALID = {
+    "num_classes": ("be >= 1", lambda v: v >= 1),
+    "train_per_class": ("be >= 1", lambda v: v >= 1),
+    "test_per_class": ("be >= 1", lambda v: v >= 1),
+    "image_shape": ("be three positive integers",
+                    lambda v: len(v) == 3 and min(v) >= 1),
+    "test_fraction": ("lie in (0, 1)", lambda v: 0 < v < 1),
+}
+
 
 def _typed_args(name, spec, fn):
     """The object spec of config field `name` without its "kind", checked
-    as arguments of fn: each key must name a parameter of fn and hold the
-    type of its annotation (see check_type)."""
+    as arguments of fn: each key must name a parameter of fn, hold the type
+    of its annotation (see check_type) and pass its _VALID test."""
     params = inspect.signature(fn).parameters
     args = {k: v for k, v in spec.items() if k != "kind"}
     for key, value in args.items():
         if key not in params:
             raise ConfigurationError(f"unknown config field '{name}.{key}'")
         check_type(f"{name}.{key}", value, params[key].annotation)
+        if key in _VALID and not _VALID[key][1](value):
+            raise ConfigurationError(
+                f"{name}.{key} must {_VALID[key][0]}, got {value!r}")
     return args
 
 
@@ -145,5 +161,21 @@ class ExperimentConfig:
         return fn, {"seed": self.seed, **_typed_args("dataset", spec, fn)}
 
     def resolve_dataset(self) -> Dataset:
+        """The dataset, checked against the architecture: it must have a
+        training sample, the architecture's image shape and labels in
+        [0, num_classes)."""
         fn, args = self._dataset_source()
-        return fn(**args)
+        ds = fn(**args)
+        arch = self.resolve_arch()
+        labels = np.concatenate([ds.y_train, ds.y_test])
+        if not len(ds.y_train):
+            raise ConfigurationError("dataset has no training samples")
+        if ds.image_shape != arch.input_shape:
+            raise ConfigurationError(
+                f"dataset images have shape {ds.image_shape}, the "
+                f"architecture takes {arch.input_shape}")
+        if labels.min() < 0 or labels.max() >= arch.num_classes:
+            raise ConfigurationError(
+                f"dataset labels span [{labels.min()}, {labels.max()}], the "
+                f"architecture has {arch.num_classes} classes")
+        return ds

@@ -257,7 +257,7 @@ def efficiency_ratio(report: EnergyReport, baseline_report: EnergyReport) -> flo
 
 def efficiency_ratio_values(baseline_total: float, total: float) -> float:
     if total == 0:
-        raise RuntimeError("efficiency ratio undefined: zero model energy")
+        raise InputError("efficiency ratio undefined: zero model energy")
     return baseline_total / total
 
 

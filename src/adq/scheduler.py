@@ -152,7 +152,7 @@ def select_pruned_channels(prune_state: PruneState,
         target = prune_state.channels[lid]
         scores = np.asarray(scores, dtype=np.float64)
         if target > scores.size:
-            raise RuntimeError(
+            raise InputError(
                 f"layer {lid}: want {target} channels, only {scores.size} exist")
         # stable sort on (-score, index): equal scores keep original order
         order = np.argsort(-scores, kind="stable")

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from adq.cli import main
@@ -21,14 +22,29 @@ TOY_CONFIG = {
 }
 
 
+def _image_dir(tmp_path):
+    """Two classes of three 1x8x8 images, as load_directory reads them."""
+    for label in range(2):
+        os.makedirs(tmp_path / "images" / str(label))
+        for i in range(3):
+            np.save(tmp_path / "images" / str(label) / f"{i}.npy",
+                    np.full((1, 8, 8), label + i / 10))
+    return str(tmp_path / "images")
+
+
 def _write_config(tmp_path, overrides=None, name="config.json"):
+    """A dict override updates the config's object, unless it names a
+    kind: then it replaces it, and a directory dataset without a path
+    reads _image_dir's images."""
     cfg = json.loads(json.dumps(TOY_CONFIG))
     cfg["output_dir"] = str(tmp_path / "run")
     for key, val in (overrides or {}).items():
-        if isinstance(val, dict):
+        if isinstance(val, dict) and "kind" not in val:
             cfg.setdefault(key, {}).update(val)
         else:
             cfg[key] = val
+    if cfg["dataset"].get("kind") == "directory":
+        cfg["dataset"].setdefault("path", _image_dir(tmp_path))
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=1))
     return path, cfg["output_dir"]
@@ -146,6 +162,18 @@ class TestTrain:
         {"arch": {"image_shape": [1, 8.0, 8]}},
         {"arch": {"num_classes": True}},
         {"arch": {"width": [4, 4, 6, 6]}},
+        {"dataset": {"train_per_class": -1}},
+        {"dataset": {"train_per_class": 0}},
+        {"dataset": {"test_per_class": 0}},
+        {"dataset": {"num_classes": 0}},
+        {"dataset": {"image_shape": [1, 8]}},
+        {"dataset": {"image_shape": [1, 0, 8]}},
+        {"arch": {"image_shape": [1, 8]}},
+        {"arch": {"image_shape": [1, 8, -8]}},
+        {"dataset": {"kind": "directory", "test_fraction": 0.0}},
+        {"dataset": {"kind": "directory", "test_fraction": 1.0}},
+        {"dataset": {"image_shape": [1, 6, 6]}},
+        {"dataset": {"num_classes": 12}},
     ])
     def test_bad_top_level_or_optimizer_field_rejected_at_load(
             self, tmp_path, capsys, overrides):

@@ -169,6 +169,10 @@ class TestNetworkEnergies:
             r.energy_pj /= 2.0
         assert efficiency_ratio(rep, half) == pytest.approx(0.5)
         assert efficiency_ratio(half, rep) == pytest.approx(2.0)
+        for r in half.rows:
+            r.energy_pj = 0.0
+        with pytest.raises(InputError, match="zero model energy"):
+            efficiency_ratio(half, rep)
 
     def test_empty_network_energy_is_zero(self):
         from adq.nn.arch import LayerSpec, NetworkArch

@@ -139,9 +139,9 @@ class TestSelectChannels:
             want = set(sorted(range(n), key=lambda i: (-scores[i], i))[:c])
             assert kept == want
 
-    def test_too_few_channels_is_internal_error(self):
+    def test_too_few_channels_is_an_input_error(self):
         ps = PruneState({0: 5}, {0: 5})
-        with pytest.raises(RuntimeError):
+        with pytest.raises(InputError, match="want 5 channels"):
             select_pruned_channels(ps, {0: np.array([1.0, 0.5])})
 
 
