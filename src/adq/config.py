@@ -166,10 +166,10 @@ class ExperimentConfig:
         [0, num_classes)."""
         fn, args = self._dataset_source()
         ds = fn(**args)
-        arch = self.resolve_arch()
-        labels = np.concatenate([ds.y_train, ds.y_test])
         if not len(ds.y_train):
             raise ConfigurationError("dataset has no training samples")
+        arch = self.resolve_arch()
+        labels = np.concatenate([ds.y_train, ds.y_test])
         if ds.image_shape != arch.input_shape:
             raise ConfigurationError(
                 f"dataset images have shape {ds.image_shape}, the "

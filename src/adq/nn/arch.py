@@ -398,7 +398,6 @@ class NetworkArch:
         return NetworkArch(kept, self.input_shape, self.num_classes)
 
 
-
 # --------------------------------------------------------- skip connections
 
 def skip_topology(arch: NetworkArch) -> dict:

@@ -339,7 +339,9 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
             assignment = new_assignment
             break
         if prune_state is not None and not chans_fixed:
-            kept = select_pruned_channels(new_prune, scores)
+            # skip-path convs keep their destination's channels
+            kept = inherit_from_destinations(
+                arch, select_pruned_channels(new_prune, scores))
             arch, state = rebuild_pruned(arch, state, new_prune, kept)
             quantizer.trackers = {}  # channel identities changed
         assignment, prune_state = new_assignment, new_prune

@@ -4,7 +4,7 @@
 strict AD pass) runs ``forward``'s layer loop without keeping backward state
 and fake-quantizes each weight once per call. ``oracles.predict`` is the
 former ``predict``, a loop over ``forward(..., training=False)``;
-``oracles.eval_logits`` is the same loop with hooks, as the strict AD pass
+``oracles.eval_logits`` is the same loop with observers, as the strict AD pass
 ran it. Each comparison runs both on deep copies of one quantizer, so a
 tracker created during evaluation cannot leak from one side to the other.
 """

@@ -1,5 +1,8 @@
-"""Pruning: the skip-connection rule in scheduled assignments, and the
-table-driven rebuild held to the former mirroring rebuild bit for bit."""
+"""Pruning: the skip-connection rule in scheduled assignments and kept
+channel sets, and the table-driven rebuild held to the former mirroring
+rebuild bit for bit."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from adq import scheduler
 from adq.energy import pim_network_energy
 from adq.nn.arch import LayerSpec, NetworkArch
+from adq.nn import engine
 from adq.nn.data import synthetic_dataset
 from adq.nn.engine import init_state
 from adq.presets import build_toy_cnn
@@ -14,6 +18,7 @@ from adq.scheduler import (PruneState, ScheduleConfig,
                            main_chain_weighted_ids, propagate_skip_bitwidths,
                            rebuild_pruned, run_schedule, skip_topology)
 
+import oracles
 from oracles import mirroring_rebuild_pruned
 
 
@@ -195,3 +200,65 @@ class TestPruningScores:
             for lid, s in scores.items():
                 assert np.mean(s) == pytest.approx(
                     res.ad_history.layer_ad(lid, epoch), rel=1e-12)
+
+
+class TestPairedSkipChannels:
+    """A scheduled rebuild keeps one channel set on both branches of each
+    residual-add, so the pruned network computes the original one with the
+    dropped channels zeroed."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rebuilt_network_is_the_restricted_original(self, monkeypatch,
+                                                        seed):
+        rng = np.random.default_rng(seed)
+        chosen, rebuilds = [], []
+
+        def random_selection(prune_state, scores):
+            kept = {lid: sorted(int(i) for i in rng.choice(
+                len(s), prune_state.channels[lid], replace=False))
+                for lid, s in scores.items()}
+            chosen.append(kept)
+            return kept
+
+        def recording_rebuild(arch, state, prune_state, kept):
+            new_arch, new_state = rebuild_pruned(arch, state, prune_state,
+                                                 kept)
+            rebuilds.append((arch, copy.deepcopy(state.weights), new_arch,
+                             copy.deepcopy(new_state.weights)))
+            return new_arch, new_state
+
+        monkeypatch.setattr(scheduler, "select_pruned_channels",
+                            random_selection)
+        monkeypatch.setattr(scheduler, "rebuild_pruned", recording_rebuild)
+        ds = synthetic_dataset(num_classes=10, image_shape=(3, 8, 8),
+                               train_per_class=4, test_per_class=2,
+                               noise=0.35, seed=seed)
+        cfg = ScheduleConfig(max_iters=2, epoch_budget=2,
+                             saturation_window=2, saturation_epsilon=0.0,
+                             pruning_enabled=True, batch_size=16)
+        run_schedule(projection_resnet(widths=((4, 1), (8, 2)), size=8), ds,
+                     cfg, seed=seed)
+        assert len(rebuilds) == len(chosen) == 1
+        arch, weights, new_arch, new_weights = rebuilds[0]
+        # the intended sets: chosen for main-chain convs, the destination's
+        # for skip-path convs
+        keep = dict(chosen[0])
+        for t in oracles.skip_topology(arch).values():
+            for cid in t["skip_convs"]:
+                keep[cid] = keep[t["destination"]]
+        assert set(keep) == set(arch.conv_ids())
+        for spec in arch.layers:
+            src = arch.input_ids(spec.id)[0]
+            names = {"conv2d": ("w", "b"),
+                     "batchnorm": ("gamma", "beta")}.get(spec.kind, ())
+            cid = spec.id if spec.kind == "conv2d" else src
+            for name in names:
+                dropped = np.setdiff1d(np.arange(len(weights[spec.id][name])),
+                                       keep[cid])
+                weights[spec.id][name][dropped] = 0.0
+        original, rebuilt = init_state(arch, 0), init_state(new_arch, 0)
+        original.weights, rebuilt.weights = weights, new_weights
+        x = np.random.default_rng(seed).normal(size=(6, 3, 8, 8))
+        want = engine.eval_logits(arch, original, x)
+        got = engine.eval_logits(new_arch, rebuilt, x)
+        assert np.abs(got - want).max() <= 1e-12
