@@ -3,11 +3,10 @@ small convolutional networks, with analytical and processing-in-memory
 energy models."""
 
 from adq.admon import ADHistory, ADRecord
-from adq.energy import (AnalyticalEnergyTable, EnergyReport, LayerShape,
-                        PimEnergyTable, analytical_layer_energy,
-                        analytical_network_energy, efficiency_ratio,
-                        mac_count, mem_accesses, pim_network_energy,
-                        pim_round_bits, training_complexity)
+from adq.energy import (EnergyReport, LayerShape, analytical_layer_energy,
+                        analytical_network_energy, mac_count, mem_accesses,
+                        pim_network_energy, pim_round_bits,
+                        training_complexity)
 from adq.errors import (AdqError, ConfigurationError, InputError,
                         TrainingDiverged, UsageError)
 from adq.nn.arch import LayerSpec, NetworkArch

@@ -22,10 +22,10 @@ from adq import energy as energy_mod
 from adq.admon import ADHistory
 from adq.config import ExperimentConfig
 from adq.errors import AdqError, ConfigurationError, InputError, TrainingDiverged
-from adq.nn.checkpoint import load_checkpoint, save_checkpoint
+from adq.nn.checkpoint import load_checkpoint
 from adq.presets import get_preset, preset_names
 from adq.reproduce import compute_table
-from adq.scheduler import run_schedule
+from adq.scheduler import run_schedule, save_schedule_checkpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,14 +98,11 @@ def cmd_train(args) -> int:
 
     def on_iteration(it, it_arch, it_state, assignment, prune_state, history,
                      record):
-        save_checkpoint(
-            os.path.join(outdir, f"checkpoint_iter{it}.ckpt"),
-            it_arch, it_state, bits=_strkey(assignment.k),
-            channels=None if prune_state is None
-            else _strkey(prune_state.channels),
-            ad_history=history.to_rows())
-        for model in _models(cfg.energy_model):
-            rep = _energy_report(model, it_arch, assignment, prune_state)
+        save_schedule_checkpoint(
+            os.path.join(outdir, f"checkpoint_iter{it}.ckpt"), it_arch,
+            it_state, assignment, prune_state, history)
+        for model in _models(cfg.energy_model):  # against uniform 16-bit
+            rep = _energy_report(model, it_arch, assignment, prune_state, 16)
             rep.to_json(os.path.join(outdir, f"energy_iter{it}_{model}.json"))
             rep.to_csv(os.path.join(outdir, f"energy_iter{it}_{model}.csv"))
             energy_rows.append((it, model, rep.efficiency))
@@ -121,21 +118,14 @@ def cmd_train(args) -> int:
     with open(os.path.join(outdir, "schedule_log.json"), "w") as f:
         json.dump(log, f, indent=2, sort_keys=True)
     _write_log_csv(os.path.join(outdir, "schedule_log.csv"), result)
-    save_checkpoint(
+    save_schedule_checkpoint(
         os.path.join(outdir, "checkpoint_final.ckpt"), result.arch,
-        result.state, bits=_strkey(result.assignment.k),
-        channels=None if result.prune_state is None
-        else _strkey(result.prune_state.channels),
-        ad_history=result.ad_history.to_rows(),
-        quant_state=result.quantizer.state_dict())
+        result.state, result.assignment, result.prune_state,
+        result.ad_history, result.quantizer)
     print(f"completed {len(result.log.iterations)} iteration(s); "
           f"final test accuracy {result.log.final_accuracy:.4f}")
     print(f"artifacts in {outdir}")
     return EXIT_OK
-
-
-def _strkey(d):
-    return {str(k): v for k, v in d.items()}
 
 
 def _models(selection):
@@ -146,10 +136,13 @@ def _models(selection):
     return (selection,)
 
 
-def _energy_report(model, arch, assignment, prune_state):
+def _energy_report(model, arch, assignment, prune_state, baseline_bits):
+    """The report of one energy model. baseline_bits sets the analytical
+    baseline; the PIM baseline is always 16-bit."""
     if model == "pim":
         return energy_mod.pim_network_energy(arch, assignment, prune_state)
-    return energy_mod.analytical_network_energy(arch, assignment, prune_state)
+    return energy_mod.analytical_network_energy(
+        arch, assignment, prune_state, baseline_bits=baseline_bits)
 
 
 def _write_log_csv(path, result):
@@ -195,12 +188,7 @@ def cmd_energy(args) -> int:
         baseline_bits = 16
         label = os.path.basename(args.checkpoint)
 
-    if args.model == "pim":
-        rep = energy_mod.pim_network_energy(arch, bits, channels)
-    else:
-        rep = energy_mod.analytical_network_energy(
-            arch, bits, channels, baseline_bits=baseline_bits)
-
+    rep = _energy_report(args.model, arch, bits, channels, baseline_bits)
     print(f"{label} [{args.model}]")
     print(f"  total energy:    {rep.total_uj:.6g} uJ")
     print(f"  baseline energy: {rep.baseline_total_pj / 1e6:.6g} uJ "

@@ -58,7 +58,6 @@ class ExperimentConfig:
     optimizer: OptimConfig
     energy_model: str = "analytical"  # 'analytical' | 'pim' | 'both' | 'none'
     baseline_epoch_total: float | None = None
-    source_path: str | None = None
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -70,10 +69,10 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigurationError(
                 f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-        return cls.from_dict(raw, source_path=str(path))
+        return cls.from_dict(raw)
 
     @classmethod
-    def from_dict(cls, raw: dict, source_path=None) -> "ExperimentConfig":
+    def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigurationError("config must be a JSON object")
         unknown = [key for key in raw if key not in _TOP_LEVEL_KEYS]
@@ -112,7 +111,6 @@ class ExperimentConfig:
             optimizer=optimizer,
             energy_model=model,
             baseline_epoch_total=raw.get("baseline_epoch_total"),
-            source_path=source_path,
         )
         check_field_types(cfg)
         arch = cfg.resolve_arch()  # fail fast on bad references

@@ -26,37 +26,15 @@ from dataclasses import dataclass, field
 from adq.errors import ConfigurationError, InputError
 from adq.nn.arch import NetworkArch
 
-PIM_SUPPORTED = (2, 4, 8, 16)
+# analytical coefficients, 45nm estimates in pJ:
+# E_Mem|k = MEM_PJ_PER_BIT * k, E_MAC|k = MULT32_PJ * k / 32 + ADD32_PJ
+MEM_PJ_PER_BIT = 2.5
+MULT32_PJ = 3.1
+ADD32_PJ = 0.1
 
-
-@dataclass(frozen=True)
-class AnalyticalEnergyTable:
-    """45nm estimate coefficients, in pJ."""
-    mem_per_bit: float = 2.5
-    mult32: float = 3.1
-    add32: float = 0.1
-
-    def e_mem(self, k: int) -> float:
-        return self.mem_per_bit * k
-
-    def e_mac(self, k: int) -> float:
-        return self.mult32 * k / 32.0 + self.add32
-
-
-@dataclass(frozen=True)
-class PimEnergyTable:
-    """Measured per-MAC energy of the shift-accumulate array, in fJ."""
-    per_mac_fj: tuple = ((2, 2.942), (4, 16.968), (8, 66.714), (16, 276.676))
-
-    def e_mac(self, supported_k: int) -> float:
-        for k, e in self.per_mac_fj:
-            if k == supported_k:
-                return e
-        raise InputError(f"no PIM energy entry for {supported_k}-bit")
-
-
-ANALYTICAL_TABLE = AnalyticalEnergyTable()
-PIM_TABLE = PimEnergyTable()
+# measured per-MAC energy of the shift-accumulate array in fJ, by supported
+# precision, ascending
+PIM_MAC_FJ = {2: 2.942, 4: 16.968, 8: 66.714, 16: 276.676}
 
 
 @dataclass(frozen=True)
@@ -84,18 +62,15 @@ def analytical_layer_energy(shape: LayerShape, k: int) -> float:
     """Layer energy in pJ at bit-width k (1..32)."""
     if not (1 <= k <= 32):
         raise InputError(f"bit-width {k} outside [1, 32]")
-    return (mem_accesses(shape) * ANALYTICAL_TABLE.e_mem(k)
-            + mac_count(shape) * ANALYTICAL_TABLE.e_mac(k))
+    return (mem_accesses(shape) * (MEM_PJ_PER_BIT * k)
+            + mac_count(shape) * (MULT32_PJ * k / 32.0 + ADD32_PJ))
 
 
 def pim_round_bits(k: int) -> int:
     """Smallest supported PIM precision >= k."""
     if not (1 <= k <= 16):
         raise InputError(f"bit-width {k} outside [1, 16] for the PIM array")
-    for s in PIM_SUPPORTED:
-        if k <= s:
-            return s
-    raise InputError(f"bit-width {k} outside [1, 16] for the PIM array")
+    return next(s for s in PIM_MAC_FJ if k <= s)
 
 
 # ------------------------------------------------------------------- shapes
@@ -236,7 +211,7 @@ def pim_network_energy(arch: NetworkArch, assignment,
     """MAC-only PIM energy report; baseline is uniform 16-bit, unpruned."""
     def cost(s, k):
         pk = pim_round_bits(k)
-        return pk, mac_count(s) * PIM_TABLE.e_mac(pk) / 1e3  # fJ -> pJ
+        return pk, mac_count(s) * PIM_MAC_FJ[pk] / 1e3  # fJ -> pJ
     return _network_energy("pim", arch, assignment, prune_state, 16, cost)
 
 
@@ -248,11 +223,6 @@ def analytical_network_energy(arch: NetworkArch, assignment, prune_state=None,
         return None, analytical_layer_energy(s, k)
     return _network_energy("analytical", arch, assignment, prune_state,
                            baseline_bits, cost)
-
-
-def efficiency_ratio(report: EnergyReport, baseline_report: EnergyReport) -> float:
-    """baseline total / model total."""
-    return efficiency_ratio_values(baseline_report.total_pj, report.total_pj)
 
 
 def efficiency_ratio_values(baseline_total: float, total: float) -> float:

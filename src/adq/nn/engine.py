@@ -103,10 +103,11 @@ def _run_layers(arch, batch, params, quantizer, training, observe, cache=None):
         masks = [None] * len(xs)
         if quantizer is not None:
             if kind.weighted:
-                xs[0], masks[0] = quantizer.activation(spec.id, xs[0], keep)
+                xs[0], masks[0] = quantizer.activation(spec.id, xs[0],
+                                                       training, keep)
             elif kind.inputs == 2:
                 xs[1], masks[1] = quantizer.skip_activation(spec.id, xs[1],
-                                                            keep)
+                                                            training, keep)
         layer_params, w_mask = params[spec.id]
         # looked up per call, so a rebound kernel attribute is honoured
         out, kc = getattr(L, f"{kind.kernel}_forward")(
@@ -129,8 +130,9 @@ def forward(arch: NetworkArch, state: TrainState, batch, observe=None,
 
     observe: {layer id: callable(output)}; each callable is invoked exactly
     once per call with its layer's output, and no other layer's output is
-    reported (the scheduler's AD sites). Returns (logits, cache); cache
-    feeds backward().
+    reported (the scheduler's AD sites). training selects batchnorm's batch
+    statistics and lets the quantizer's activation ranges move. Returns
+    (logits, cache); cache feeds backward().
     """
     batch = _check_batch(arch, batch)
     cache = ForwardCache(arch_hash=arch.arch_hash())
@@ -271,19 +273,12 @@ def eval_logits(arch, state, x, quantizer=None, batch_size=256, observe=None):
 
     The loop is forward()'s, keeping no backward state, and the weights are
     fake-quantized once per call. observe is forward()'s, called per batch.
-    The quantizer's ranges stay frozen and its mode is restored on return.
+    It is not a training pass, so the quantizer's ranges stay frozen.
     """
-    was_training = getattr(quantizer, "training", None)
-    if quantizer is not None:
-        quantizer.training = False
-    try:
-        params = _kernel_params(arch, state, quantizer, False)
-        logits = [_run_layers(arch, _check_batch(arch, x[i:i + batch_size]),
-                              params, quantizer, False, observe or {})
-                  for i in range(0, len(x), batch_size)]
-    finally:
-        if quantizer is not None and was_training is not None:
-            quantizer.training = was_training
+    params = _kernel_params(arch, state, quantizer, False)
+    logits = [_run_layers(arch, _check_batch(arch, x[i:i + batch_size]),
+                          params, quantizer, False, observe or {})
+              for i in range(0, len(x), batch_size)]
     return (np.concatenate(logits) if logits
             else np.empty((0, arch.num_classes)))
 

@@ -83,8 +83,7 @@ def fake_quant(x, qp: QuantParams):
     x = np.asarray(x, dtype=np.float64)
     if qp.degenerate:
         return x.copy()
-    q = quantize(x, qp)
-    _check_levels(q, qp)
+    q = quantize(x, qp)  # levels in [0, 2^k - 1] by construction
     q *= (qp.x_max - qp.x_min) / qp.levels
     q += qp.x_min
     return q
@@ -157,9 +156,9 @@ class NetworkQuantizer:
     fresh per-tensor min/max range at bit-width k_l, and the activation tensor
     entering the layer is fake-quantized at k_l using an EMA range tracker.
     Residual-add skip branches are quantized at the destination layer's
-    bit-width. Tracker updates happen only in training mode; evaluation uses
-    the frozen ranges. Layers whose effective bit-width exceeds MAX_BITS are
-    passed through unquantized.
+    bit-width. Trackers are updated only in a training pass (the engine's
+    ``training`` argument); other passes use the frozen ranges. Layers whose
+    effective bit-width exceeds MAX_BITS are passed through unquantized.
     """
 
     bits: dict  # layer id -> effective bit-width (skip rules already applied)
@@ -168,7 +167,6 @@ class NetworkQuantizer:
     act_mode: str = "ema"
     ema_decay: float = 0.99
     trackers: dict = field(default_factory=dict)
-    training: bool = True
 
     def _tracker(self, site) -> RangeTracker:
         if site not in self.trackers:
@@ -181,7 +179,8 @@ class NetworkQuantizer:
 
     # Each of the three returns (quantized tensor, STE mask). The mask is
     # None when the tensor passes unquantized, or when mask is false: a
-    # forward-only pass has no backward to use it.
+    # forward-only pass has no backward to use it. The two activation sites
+    # observe x into their range only when training is set.
 
     def weight(self, layer_id, w, mask=True):
         if not self._active(layer_id):
@@ -192,22 +191,23 @@ class NetworkQuantizer:
         qp = QuantParams(self.bits[layer_id], lo, hi)
         return fake_quant(w, qp), (ste_mask(w, qp) if mask else None)
 
-    def activation(self, layer_id, x, mask=True):
+    def activation(self, layer_id, x, training, mask=True):
         """Quantize the tensor entering a weighted layer."""
         if not self._active(layer_id):
             return x, None
-        return self._site(("input", layer_id), x, self.bits[layer_id], mask)
+        return self._site(("input", layer_id), x, self.bits[layer_id],
+                          training, mask)
 
-    def skip_activation(self, add_id, x, mask=True):
+    def skip_activation(self, add_id, x, training, mask=True):
         """Quantize a residual-add skip input at the destination bit-width."""
         k = self.skip_bits.get(add_id)
         if k is None or k > MAX_BITS:
             return x, None
-        return self._site(("skip", add_id), x, k, mask)
+        return self._site(("skip", add_id), x, k, training, mask)
 
-    def _site(self, site, x, k, mask):
+    def _site(self, site, x, k, training, mask):
         tr = self._tracker(site)
-        if self.training:
+        if training:
             tr.observe(x)
         if not tr.initialized:
             return x, None

@@ -73,34 +73,31 @@ def _pim_report(arch_preset: str, bits_preset: str, channels_preset=None):
     return pim_network_energy(arch, bits, channels)
 
 
-# (family, [(row label, preset, iteration path)...])
+# (family, [(row label, iteration path)...]); a row's preset ends its path,
+# and the path names only it and earlier rows' presets
 TABLE1 = [
     ("vgg19-cifar10", [
-        ("iter 1", "vgg19-cifar10-baseline", ["vgg19-cifar10-baseline"]),
-        ("iter 2", "vgg19-cifar10-iter2",
-         ["vgg19-cifar10-baseline", "vgg19-cifar10-iter2"]),
-        ("iter 2a", "vgg19-cifar10-iter2a",
-         ["vgg19-cifar10-baseline", "vgg19-cifar10-iter2a"]),
+        ("iter 1", ["vgg19-cifar10-baseline"]),
+        ("iter 2", ["vgg19-cifar10-baseline", "vgg19-cifar10-iter2"]),
+        ("iter 2a", ["vgg19-cifar10-baseline", "vgg19-cifar10-iter2a"]),
     ]),
     ("resnet18-cifar100", [
-        ("iter 1", "resnet18-cifar100-baseline", ["resnet18-cifar100-baseline"]),
-        ("iter 2", "resnet18-cifar100-iter2",
-         ["resnet18-cifar100-baseline", "resnet18-cifar100-iter2"]),
-        ("iter 3", "resnet18-cifar100-iter3",
-         ["resnet18-cifar100-baseline", "resnet18-cifar100-iter2",
-          "resnet18-cifar100-iter3"]),
+        ("iter 1", ["resnet18-cifar100-baseline"]),
+        ("iter 2", ["resnet18-cifar100-baseline", "resnet18-cifar100-iter2"]),
+        ("iter 3", ["resnet18-cifar100-baseline", "resnet18-cifar100-iter2",
+                    "resnet18-cifar100-iter3"]),
     ]),
     ("resnet18-tinyimagenet", [
-        ("iter 1", "resnet18-tinyimagenet-baseline",
-         ["resnet18-tinyimagenet-baseline"]),
-        ("iter 2", "resnet18-tinyimagenet-iter2",
-         ["resnet18-tinyimagenet-baseline", "resnet18-tinyimagenet-iter2"]),
-        ("iter 3", "resnet18-tinyimagenet-iter3",
-         ["resnet18-tinyimagenet-baseline", "resnet18-tinyimagenet-iter2",
-          "resnet18-tinyimagenet-iter3"]),
-        ("iter 4", "resnet18-tinyimagenet-iter4",
-         ["resnet18-tinyimagenet-baseline", "resnet18-tinyimagenet-iter2",
-          "resnet18-tinyimagenet-iter3", "resnet18-tinyimagenet-iter4"]),
+        ("iter 1", ["resnet18-tinyimagenet-baseline"]),
+        ("iter 2", ["resnet18-tinyimagenet-baseline",
+                    "resnet18-tinyimagenet-iter2"]),
+        ("iter 3", ["resnet18-tinyimagenet-baseline",
+                    "resnet18-tinyimagenet-iter2",
+                    "resnet18-tinyimagenet-iter3"]),
+        ("iter 4", ["resnet18-tinyimagenet-baseline",
+                    "resnet18-tinyimagenet-iter2",
+                    "resnet18-tinyimagenet-iter3",
+                    "resnet18-tinyimagenet-iter4"]),
     ]),
 ]
 
@@ -146,17 +143,18 @@ def _table1() -> list[Cell]:
     cells = []
     for family, rows in TABLE1:
         baseline_total = BASELINE_EPOCH_TOTALS[family]
-        for label, preset_name, path in rows:
-            p = get_preset(preset_name)
-            ratio = _analytical_ratio(preset_name)
+        ratios = {}  # preset -> its efficiency, costed once per family
+        for label, path in rows:
+            p = get_preset(path[-1])
+            ratio = ratios[p.name] = _analytical_ratio(p.name)
             cells.append(Cell("1", f"{family} {label}", "energy_efficiency",
                               ratio, p.published["energy_efficiency"],
                               EFF_TOL if len(path) > 1 else 0.0))
             if len(path) == 1:
                 tc = 1.0  # the baseline row defines the unit
             else:
-                iters = [(_analytical_ratio(n),
-                          get_preset(n).published["epochs"]) for n in path]
+                iters = [(ratios[n], get_preset(n).published["epochs"])
+                         for n in path]
                 tc = training_complexity(iters, baseline_total)
             cells.append(Cell("1", f"{family} {label}", "train_complexity",
                               tc, p.published["train_complexity"],

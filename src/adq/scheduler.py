@@ -37,13 +37,12 @@ from adq.quant import MAX_BITS, NetworkQuantizer, RangeTracker, round_half_away
 class BitWidthAssignment:
     k: dict  # weighted layer id -> bit width
     exempt: frozenset
-    iter: int = 0
 
     @classmethod
     def initial(cls, arch: NetworkArch,
                 initial_bits: int) -> "BitWidthAssignment":
         return cls(k={i: initial_bits for i in arch.weighted_ids()},
-                   exempt=default_exempt(arch), iter=0)
+                   exempt=default_exempt(arch))
 
 
 @dataclass
@@ -106,40 +105,40 @@ def default_exempt(arch: NetworkArch) -> frozenset:
 
 # ------------------------------------------------------------------ updates
 
-def _check_ad(ad_map):
-    for lid, ad in ad_map.items():
+def _shrink(widths: dict, refs: dict, ad_per_layer: dict,
+            exempt=frozenset()) -> dict:
+    """The paper's one shrink rule, w <- max(1, min(w, round(ref * AD))),
+    for each layer of widths with an AD that is not exempt; the others keep
+    w. refs gives each layer's ref."""
+    for lid, ad in ad_per_layer.items():
         if not (0.0 <= ad <= 1.0):
             raise InputError(f"layer {lid}: AD {ad} outside [0, 1]")
+    out = {}
+    for lid, w in widths.items():
+        if lid in exempt or lid not in ad_per_layer:
+            out[lid] = w
+        else:
+            prop = int(round_half_away(refs[lid] * ad_per_layer[lid]))
+            out[lid] = max(1, min(w, prop))
+    return out
 
 
 def update_bitwidths(assignment: BitWidthAssignment,
                      ad_per_layer: dict) -> BitWidthAssignment:
     """k_l <- round(k_l * AD_l), clamped to >= 1; exempt layers unchanged."""
-    _check_ad(ad_per_layer)
-    new = {}
-    for lid, k in assignment.k.items():
-        if lid in assignment.exempt or lid not in ad_per_layer:
-            new[lid] = k
-            continue
-        prop = int(round_half_away(k * ad_per_layer[lid]))
-        new[lid] = max(1, min(k, prop))
-    return BitWidthAssignment(new, assignment.exempt, assignment.iter + 1)
+    return BitWidthAssignment(
+        _shrink(assignment.k, assignment.k, ad_per_layer, assignment.exempt),
+        assignment.exempt)
 
 
 def update_channels(prune_state: PruneState,
                     ad_per_layer: dict, from_initial: bool = True) -> PruneState:
     """C_l <- round(C_ref * AD_l) clamped to [1, current]; C_ref is the
     original width by default (the alternative multiplies the current width)."""
-    _check_ad(ad_per_layer)
-    new = {}
-    for lid, cur in prune_state.channels.items():
-        if lid not in ad_per_layer:
-            new[lid] = cur
-            continue
-        ref = prune_state.initial_channels[lid] if from_initial else cur
-        prop = int(round_half_away(ref * ad_per_layer[lid]))
-        new[lid] = max(1, min(cur, prop))
-    return PruneState(new, dict(prune_state.initial_channels))
+    refs = (prune_state.initial_channels if from_initial
+            else prune_state.channels)
+    return PruneState(_shrink(prune_state.channels, refs, ad_per_layer),
+                      dict(prune_state.initial_channels))
 
 
 def select_pruned_channels(prune_state: PruneState,
@@ -222,6 +221,23 @@ def rebuild_pruned(arch: NetworkArch, state: engine.TrainState,
         for name, arr in params.items():
             new_state.weights[lid][name] = arr
     return new_arch, new_state
+
+
+# ------------------------------------------------------------- checkpoints
+
+def save_schedule_checkpoint(path, arch: NetworkArch,
+                             state: engine.TrainState,
+                             assignment: BitWidthAssignment,
+                             prune_state: PruneState | None,
+                             history: ADHistory, quantizer=None):
+    """Write a schedule checkpoint: the network, its bit-widths and channel
+    counts (keyed by layer id, as strings in the JSON header), the AD
+    history, and with a quantizer its activation ranges."""
+    save_checkpoint(
+        path, arch, state, bits=assignment.k,
+        channels=None if prune_state is None else prune_state.channels,
+        ad_history=history.to_rows(),
+        quant_state=None if quantizer is None else quantizer.state_dict())
 
 
 # ---------------------------------------------------------------- schedule
@@ -387,22 +403,27 @@ def _epoch_observer(arch: NetworkArch, history: ADHistory, epoch: int,
     Each observer records its activation into history under the main-chain
     weighted layers observed there. When prune is set it also counts, into
     the returned dict, each such conv's positive values per channel:
-    {conv id: (positives per channel, values per channel)}.
+    {conv id: (positives per channel, values per channel)}. The observed
+    tensor is 4-D, or flattened channel-major after a flatten; either way
+    it reshapes to (samples, the conv's channels, values per channel).
     """
     points = observation_points(arch)
     by_obs = {}
     for wid in main_chain_weighted_ids(arch):
         by_obs.setdefault(points[wid], []).append(wid)
-    conv_ids = set(arch.conv_ids()) if prune else set()
+    channels = ({i: arch.layer(i).out_channels for i in arch.conv_ids()}
+                if prune else {})
     counts = {}
 
     def record(wids, tensor):
         for wid in wids:
             history.record(wid, epoch, tensor)
-            if wid in conv_ids and tensor.ndim == 4:
+            if wid in channels:
+                c = channels[wid]
+                positive = tensor.reshape(len(tensor), c, -1) > 0
                 pos, n = counts.get(wid, (0, 0))
-                counts[wid] = (pos + (tensor > 0).sum(axis=(0, 2, 3)),
-                               n + tensor.size // tensor.shape[1])
+                counts[wid] = (pos + positive.sum(axis=(0, 2)),
+                               n + tensor.size // c)
 
     return {obs: partial(record, wids) for obs, wids in by_obs.items()}, counts
 
@@ -414,7 +435,6 @@ def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
     the epoch's observed activations ({} otherwise)."""
     observe, counts = _epoch_observer(arch, history, epoch,
                                       config.pruning_enabled)
-    quantizer.training = True
     losses = []
     for bx, by in iter_batches(dataset.x_train, dataset.y_train,
                                config.batch_size, state.rng):
@@ -426,11 +446,8 @@ def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
             path = None
             if diagnostics_dir is not None:
                 path = f"{diagnostics_dir}/diverged_epoch{epoch}.ckpt"
-                save_checkpoint(path, arch, state,
-                                bits=dict(assignment.k),
-                                channels=None if prune_state is None
-                                else dict(prune_state.channels),
-                                ad_history=history.to_rows())
+                save_schedule_checkpoint(path, arch, state, assignment,
+                                         prune_state, history)
             raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch}", checkpoint_path=path)
         grads, _ = engine.backward(arch, state, cache, lgrad)

@@ -373,35 +373,20 @@ def _linear_feature_selection(arch, linear_id, channel_sel, shapes):
 def predict(arch, state, x, quantizer=None, batch_size=256):
     """Class predictions in evaluation mode."""
     outs = []
-    was_training = getattr(quantizer, "training", None)
-    if quantizer is not None:
-        quantizer.training = False
-    try:
-        for i in range(0, len(x), batch_size):
-            logits, _ = forward(arch, state, x[i:i + batch_size],
-                                quantizer=quantizer, training=False)
-            outs.append(np.argmax(logits, axis=1))
-    finally:
-        if quantizer is not None and was_training is not None:
-            quantizer.training = was_training
+    for i in range(0, len(x), batch_size):
+        logits, _ = forward(arch, state, x[i:i + batch_size],
+                            quantizer=quantizer, training=False)
+        outs.append(np.argmax(logits, axis=1))
     return np.concatenate(outs) if outs else np.empty(0, dtype=int)
 
 
 def eval_logits(arch, state, x, quantizer=None, batch_size=256,
                 observe=None):
     """``engine.eval_logits`` as the former strict AD pass computed it: the
-    training forward, batch by batch, with the quantizer in evaluation
-    mode."""
-    was_training = getattr(quantizer, "training", None)
-    if quantizer is not None:
-        quantizer.training = False
-    try:
-        logits = [forward(arch, state, x[i:i + batch_size], observe,
-                          quantizer=quantizer, training=False)[0]
-                  for i in range(0, len(x), batch_size)]
-    finally:
-        if quantizer is not None and was_training is not None:
-            quantizer.training = was_training
+    training forward, batch by batch, in evaluation mode."""
+    logits = [forward(arch, state, x[i:i + batch_size], observe,
+                      quantizer=quantizer, training=False)[0]
+              for i in range(0, len(x), batch_size)]
     return (np.concatenate(logits) if logits
             else np.empty((0, arch.num_classes)))
 

@@ -7,10 +7,10 @@ from math import prod
 import numpy as np
 import pytest
 
-from adq.energy import (ANALYTICAL_TABLE, LayerShape,
+from adq.energy import (ADD32_PJ, MEM_PJ_PER_BIT, MULT32_PJ, LayerShape,
                         analytical_layer_energy, analytical_network_energy,
-                        efficiency_ratio, layer_shapes, mac_count,
-                        mem_accesses, pim_network_energy, pim_round_bits,
+                        layer_shapes, mac_count, mem_accesses,
+                        pim_network_energy, pim_round_bits,
                         training_complexity)
 from adq.errors import InputError
 from adq.nn.arch import NetworkArch
@@ -55,11 +55,16 @@ class TestAnalytical:
         assert analytical_layer_energy(shp(), 32) == pytest.approx(163.2)
 
     def test_16bit_access_is_40pj(self):
-        assert ANALYTICAL_TABLE.e_mem(16) == 40.0
+        assert MEM_PJ_PER_BIT * 16 == 40.0
+        # a unit shape with no MACs: its energy is its 2 accesses' alone
+        assert analytical_layer_energy(shp(m=0), 16) == 80.0
 
     def test_32bit_consistency_with_component_table(self):
-        assert ANALYTICAL_TABLE.e_mac(32) == pytest.approx(3.2)
-        assert ANALYTICAL_TABLE.e_mem(32) == pytest.approx(80.0)
+        assert MULT32_PJ * 32 / 32.0 + ADD32_PJ == pytest.approx(3.2)
+        assert MEM_PJ_PER_BIT * 32 == pytest.approx(80.0)
+        assert analytical_layer_energy(shp(n=0, p=0), 32) == 0.0
+        assert analytical_layer_energy(shp(n=0), 32) == pytest.approx(
+            80.0 + 3.2)
 
     def test_random_shapes_match_recomputation(self):
         rng = np.random.default_rng(0)
@@ -160,19 +165,20 @@ class TestNetworkEnergies:
         with pytest.raises(InputError):
             pim_network_energy(arch, bits)
 
-    def test_efficiency_ratio_identities(self):
+    def test_efficiency_identities(self):
         arch, bits = self._toy()
         rep = analytical_network_energy(arch, bits.k)
-        assert efficiency_ratio(rep, rep) == pytest.approx(1.0)
-        half = analytical_network_energy(arch, bits.k)
-        for r in half.rows:
+        assert rep.efficiency == pytest.approx(1.0)
+        total = rep.total_pj
+        for r in rep.rows:
             r.energy_pj /= 2.0
-        assert efficiency_ratio(rep, half) == pytest.approx(0.5)
-        assert efficiency_ratio(half, rep) == pytest.approx(2.0)
-        for r in half.rows:
+        assert rep.efficiency == pytest.approx(2.0)
+        rep.baseline_total_pj = total / 4.0
+        assert rep.efficiency == pytest.approx(0.5)
+        for r in rep.rows:
             r.energy_pj = 0.0
         with pytest.raises(InputError, match="zero model energy"):
-            efficiency_ratio(half, rep)
+            rep.efficiency
 
     def test_empty_network_energy_is_zero(self):
         from adq.nn.arch import LayerSpec, NetworkArch

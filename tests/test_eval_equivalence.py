@@ -17,7 +17,6 @@ import pytest
 from adq import quant
 from adq.errors import ConfigurationError
 from adq.nn import engine
-from adq.nn import layers as L
 from adq.nn.arch import LayerSpec, NetworkArch
 from adq.nn.data import synthetic_dataset
 from adq.presets import build_toy_cnn
@@ -148,7 +147,6 @@ def test_predict_matches_former_predict(monkeypatch, net, samples,
     assert preds.dtype == want_preds.dtype
     assert np.array_equal(preds, want_preds)
     assert q_got.state_dict() == q_want.state_dict()
-    assert q_got.training == q_want.training
 
 
 def test_predict_of_no_samples():
@@ -184,25 +182,24 @@ def test_eval_keeps_no_masks_and_quantizes_weights_once(monkeypatch):
     assert len(quantized) == len(active) + 3 * len(active)
 
 
-@pytest.mark.parametrize("was_training", [True, False])
-def test_quantizer_mode_restored_when_a_forward_raises(monkeypatch,
-                                                       was_training):
+def test_evaluating_a_bad_batch_shape_is_a_configuration_error():
     arch, state, quantizer = _toy()
-    quantizer.training = was_training
-
-    def failing_relu(x):
-        raise RuntimeError("kernel failed")
-
-    x = np.zeros((3,) + tuple(arch.input_shape))
-    with monkeypatch.context() as mp:
-        mp.setattr(L, "relu_forward", failing_relu)
-        with pytest.raises(RuntimeError, match="kernel failed"):
-            engine.predict(arch, state, x, quantizer)
-    assert quantizer.training is was_training
     with pytest.raises(ConfigurationError, match="does not match input"):
         engine.accuracy(arch, state, np.zeros((2, 3, 8, 8)), np.zeros(2),
                         quantizer)
-    assert quantizer.training is was_training
+
+
+@pytest.mark.parametrize("net", ["pruned-residual", "toy"])
+def test_only_a_training_forward_moves_the_quantizer_ranges(net):
+    arch, state, quantizer = NETS[net]()
+    x = np.random.default_rng(5).normal(
+        size=(6,) + tuple(arch.input_shape)) * 3.0
+    before = copy.deepcopy(quantizer.state_dict())
+    engine.forward(arch, state, x, quantizer=quantizer, training=False)
+    engine.eval_logits(arch, state, x, quantizer)
+    assert quantizer.state_dict() == before
+    engine.forward(arch, state, x, quantizer=quantizer, training=True)
+    assert quantizer.state_dict() != before
 
 
 def _strict_schedule():

@@ -201,6 +201,57 @@ class TestPruningScores:
                 assert np.mean(s) == pytest.approx(
                     res.ad_history.layer_ad(lid, epoch), rel=1e-12)
 
+    def test_a_conv_observed_after_a_flatten_keeps_its_top_channels(
+            self, monkeypatch):
+        """conv -> relu -> conv -> flatten -> relu -> linear: the second
+        conv is scored from the flattened, channel-major relu output, and
+        keeps its most active channels, not its first ones."""
+        seen, kept_sets = [], []
+        record = scheduler.ADHistory.record
+
+        def recording(history, lid, epoch, acts):
+            seen.append((lid, epoch, np.array(acts)))
+            return record(history, lid, epoch, acts)
+
+        def recording_rebuild(arch, state, prune_state, kept):
+            kept_sets.append((max(e for _, e, _ in seen),
+                              dict(prune_state.channels), kept))
+            return rebuild_pruned(arch, state, prune_state, kept)
+
+        monkeypatch.setattr(scheduler.ADHistory, "record", recording)
+        monkeypatch.setattr(scheduler, "rebuild_pruned", recording_rebuild)
+        specs = [dict(kind="conv2d", in_channels=1, out_channels=4,
+                      kernel=3, padding=1),
+                 dict(kind="relu"),
+                 dict(kind="conv2d", in_channels=4, out_channels=4,
+                      kernel=3, padding=1),
+                 dict(kind="flatten"),
+                 dict(kind="relu"),
+                 dict(kind="linear", in_channels=4 * 36, out_channels=3)]
+        arch = NetworkArch([LayerSpec(id=i, **kw)
+                            for i, kw in enumerate(specs)], (1, 6, 6), 3)
+        ds = synthetic_dataset(num_classes=3, image_shape=(1, 6, 6),
+                               train_per_class=8, test_per_class=2,
+                               noise=0.4, seed=1)
+        cfg = ScheduleConfig(max_iters=2, epoch_budget=2,
+                             saturation_window=2, saturation_epsilon=0.0,
+                             pruning_enabled=True, batch_size=8)
+        run_schedule(arch, ds, cfg, seed=0)
+        assert kept_sets
+        epoch, channels, kept = kept_sets[0]
+        assert set(kept) == {0, 2}
+        # conv 2's positive fraction per channel over the epoch, from the
+        # flattened relu output: channel c holds features [36c, 36c + 36)
+        acts = np.concatenate([a for lid, e, a in seen
+                               if lid == 2 and e == epoch])
+        assert acts.ndim == 2
+        score = [float(np.mean(acts[:, 36 * c:36 * (c + 1)] > 0))
+                 for c in range(4)]
+        top = sorted(range(4), key=lambda c: (-score[c], c))[:channels[2]]
+        assert channels[2] < 4
+        assert kept[2] == sorted(top)
+        assert kept[2] != list(range(channels[2]))  # not the first n
+
 
 class TestPairedSkipChannels:
     """A scheduled rebuild keeps one channel set on both branches of each

@@ -44,6 +44,22 @@ class TestQuantize:
         with pytest.raises(ConfigurationError):
             QuantParams(4, 1.0, 0.0)
 
+    @given(st.integers(min_value=1, max_value=16),
+           st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+           st.floats(-1e6, 1e6), st.floats(1e-6, 1e6))
+    @settings(max_examples=300, deadline=None)
+    def test_levels_in_range_for_extreme_and_infinite_inputs(self, k, vals,
+                                                             lo, width):
+        # inputs span the whole float line, +-inf included; the range's
+        # width and level scale (2^k - 1) / (x_max - x_min) are finite
+        qp = QuantParams(k, lo, lo + width)
+        x = np.asarray(vals + [np.inf, -np.inf, np.finfo(np.float64).max],
+                       dtype=np.float64)
+        levels = quantize(x, qp)
+        assert np.all((levels >= 0) & (levels <= qp.levels))
+        assert np.array_equal(levels, np.floor(levels))
+        assert np.all(np.isfinite(fake_quant(x, qp)))
+
     def test_degenerate_range_all_zero_levels(self):
         qp = QuantParams(4, 2.5, 2.5)
         assert np.all(quantize(np.full(7, 2.5), qp) == 0)

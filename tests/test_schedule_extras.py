@@ -36,6 +36,53 @@ def test_divergence_aborts_with_diagnostic_checkpoint(tmp_path):
     assert arch2.to_dict() == arch.to_dict()
 
 
+def test_schedule_checkpoints_share_one_layout(tmp_path):
+    """The diverged, per-iteration and final checkpoints key bits and
+    channels by layer id, as strings; only the final one holds the
+    quantizer's ranges."""
+    import json
+    from adq.nn.checkpoint import load_checkpoint
+    ds = _dataset()
+    ds.x_train[0, 0, 0, 0] = np.nan
+    cfg = ScheduleConfig(max_iters=1, epoch_budget=2, saturation_window=2,
+                         pruning_enabled=True)
+    with pytest.raises(TrainingDiverged) as err:
+        run_schedule(build_toy_cnn(widths=(4, 4, 6, 6)), ds, cfg, seed=0,
+                     diagnostics_dir=str(tmp_path))
+    arch, _, header = load_checkpoint(err.value.checkpoint_path)
+    assert header["bits"] == {str(i): 16 for i in arch.weighted_ids()}
+    assert header["channels"] == {str(i): arch.layer(i).out_channels
+                                  for i in arch.conv_ids()}
+    assert header["quant_state"] is None
+
+    run = tmp_path / "run"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({
+        "seed": 1, "output_dir": str(run),
+        "arch": {"kind": "toy_cnn", "widths": [4, 4, 6, 6],
+                 "image_shape": [1, 8, 8], "num_classes": 10},
+        "dataset": {"kind": "synthetic", "num_classes": 10,
+                    "image_shape": [1, 8, 8], "train_per_class": 6,
+                    "test_per_class": 3},
+        "schedule": {"max_iters": 2, "epoch_budget": 2,
+                     "saturation_window": 2, "pruning_enabled": True,
+                     "final_convergence_epochs": 1},
+        "energy_model": "none"}))
+    assert main(["train", "-c", str(p)]) == 0
+    log = json.loads((run / "schedule_log.json").read_text())
+    for rec in log["iterations"]:
+        _, _, header = load_checkpoint(
+            str(run / f"checkpoint_iter{rec['iter']}.ckpt"))
+        assert header["bits"] == rec["bits"]
+        assert header["channels"] == rec["channels"]
+        assert header["quant_state"] is None
+    arch, _, header = load_checkpoint(str(run / "checkpoint_final.ckpt"))
+    assert set(header["bits"]) == {str(i) for i in arch.weighted_ids()}
+    assert header["channels"] == {str(i): arch.layer(i).out_channels
+                                  for i in arch.conv_ids()}
+    assert header["quant_state"]
+
+
 def test_divergence_cli_exit_code(tmp_path):
     import json
     import numpy as np

@@ -67,10 +67,6 @@ class TestUpdateBitwidths:
             assert all(nxt.k[i] <= a.k[i] for i in range(6))
             a = nxt
 
-    def test_iteration_counter_advances(self):
-        a = _assignment([8])
-        assert update_bitwidths(a, {0: 1.0}).iter == a.iter + 1
-
 
 class TestUpdateChannels:
     def test_full_density_keeps_width(self):
