@@ -17,7 +17,8 @@ from adq.nn.engine import (OptimConfig, TrainState, accuracy, backward,
 from adq.quant import (NetworkQuantizer, QuantParams, RangeTracker,
                        dequantize, fake_quant, quantize)
 from adq.scheduler import (BitWidthAssignment, PruneState, ScheduleConfig,
-                           ScheduleLog, propagate_skip_bitwidths,
+                           ScheduleLog, build_quantizer,
+                           propagate_skip_bitwidths,
                            run_schedule, select_pruned_channels,
                            update_bitwidths, update_channels)
 

@@ -211,7 +211,7 @@ def cmd_reproduce(args) -> int:
     failed = False
     print(f"table {args.table}: computed vs published")
     for c in cells:
-        dev = f"{100 * c.rel_dev:+.2f}%" if c.rel_dev is not None else "n/a"
+        dev = f"{100 * c.rel_dev:+.2f}%"
         if c.tolerance is None:
             status = "info"
         elif c.within:

@@ -7,12 +7,14 @@ zero everywhere so results are reproducible independent of the platform's
 default tie-breaking.
 
 A degenerate range (x_max == x_min) carries no information: quantize returns
-all-zero levels and fake_quant returns the input unchanged.
+all-zero levels and fake_quant returns the input unchanged. Any other range
+must keep its width and level scale finite. ``NetworkQuantizer`` applies
+this to a network at one table of quantized sites.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +43,12 @@ class QuantParams:
             raise ConfigurationError(
                 f"x_max ({self.x_max}) < x_min ({self.x_min})"
             )
+        # quantize's levels turn into inf and NaN when the width overflows
+        # (the scale (2^k - 1)/width is then 0) or the scale does
+        width = float(self.x_max) - float(self.x_min)
+        if width and not 0.0 < self.levels / width < np.inf:
+            raise ConfigurationError(f"quantization range [{self.x_min}, "
+                                     f"{self.x_max}] overflows at k={self.k}")
 
     @property
     def levels(self) -> int:
@@ -102,8 +110,8 @@ class RangeTracker:
     decay; the first observation initializes the bounds directly.
     """
 
-    mode: str = "minmax"
-    ema_decay: float = 0.99
+    mode: str
+    ema_decay: float
     x_min: float | None = None
     x_max: float | None = None
 
@@ -150,32 +158,20 @@ class RangeTracker:
 
 @dataclass
 class NetworkQuantizer:
-    """Per-layer fake quantization driven by a bit-width assignment.
-
-    For each non-exempt weighted layer l the weights are fake-quantized with a
-    fresh per-tensor min/max range at bit-width k_l, and the activation tensor
-    entering the layer is fake-quantized at k_l using an EMA range tracker.
-    Residual-add skip branches are quantized at the destination layer's
-    bit-width. Trackers are updated only in a training pass (the engine's
-    ``training`` argument); other passes use the frozen ranges. Layers whose
-    effective bit-width exceeds MAX_BITS are passed through unquantized.
+    """Fake quantization at ``sites``, {("input", weighted layer id) or
+    ("skip", residual-add id): bit-width k}, as ``scheduler.build_quantizer``
+    builds it. An input site quantizes the layer's weights with a fresh
+    per-tensor min/max range and the tensor entering the layer with the
+    site's range tracker; a skip site, with its tracker, the skip branch's
+    tensor entering the add. A tensor at no site passes unquantized.
+    Trackers move only in a training pass (the engine's ``training``
+    argument); other passes use the frozen ranges.
     """
 
-    bits: dict  # layer id -> effective bit-width (skip rules already applied)
-    exempt: frozenset = frozenset()
-    skip_bits: dict = field(default_factory=dict)  # residual-add id -> k
-    act_mode: str = "ema"
-    ema_decay: float = 0.99
-    trackers: dict = field(default_factory=dict)
-
-    def _tracker(self, site) -> RangeTracker:
-        if site not in self.trackers:
-            self.trackers[site] = RangeTracker(self.act_mode, self.ema_decay)
-        return self.trackers[site]
-
-    def _active(self, layer_id) -> bool:
-        k = self.bits.get(layer_id)
-        return k is not None and layer_id not in self.exempt and k <= MAX_BITS
+    sites: dict  # ("input" | "skip", layer id) -> bit-width k
+    act_mode: str
+    ema_decay: float
+    trackers: dict  # site -> RangeTracker
 
     # Each of the three returns (quantized tensor, STE mask). The mask is
     # None when the tensor passes unquantized, or when mask is false: a
@@ -183,30 +179,31 @@ class NetworkQuantizer:
     # observe x into their range only when training is set.
 
     def weight(self, layer_id, w, mask=True):
-        if not self._active(layer_id):
+        k = self.sites.get(("input", layer_id))
+        if k is None:
             return w, None
         lo, hi = float(w.min()), float(w.max())
         if not (np.isfinite(lo) and np.isfinite(hi)):
             return w, None  # let divergence surface at the loss check
-        qp = QuantParams(self.bits[layer_id], lo, hi)
+        qp = QuantParams(k, lo, hi)
         return fake_quant(w, qp), (ste_mask(w, qp) if mask else None)
 
     def activation(self, layer_id, x, training, mask=True):
         """Quantize the tensor entering a weighted layer."""
-        if not self._active(layer_id):
-            return x, None
-        return self._site(("input", layer_id), x, self.bits[layer_id],
-                          training, mask)
+        return self._site(("input", layer_id), x, training, mask)
 
     def skip_activation(self, add_id, x, training, mask=True):
         """Quantize a residual-add skip input at the destination bit-width."""
-        k = self.skip_bits.get(add_id)
-        if k is None or k > MAX_BITS:
-            return x, None
-        return self._site(("skip", add_id), x, k, training, mask)
+        return self._site(("skip", add_id), x, training, mask)
 
-    def _site(self, site, x, k, training, mask):
-        tr = self._tracker(site)
+    def _site(self, site, x, training, mask):
+        k = self.sites.get(site)
+        if k is None:
+            return x, None
+        tr = self.trackers.get(site)
+        if tr is None:
+            tr = self.trackers[site] = RangeTracker(self.act_mode,
+                                                    self.ema_decay)
         if training:
             tr.observe(x)
         if not tr.initialized:
@@ -214,15 +211,11 @@ class NetworkQuantizer:
         qp = tr.params(k)
         return fake_quant(x, qp), (ste_mask(x, qp) if mask else None)
 
-    def _site_bits(self, site):
-        kind, lid = site
-        return self.skip_bits.get(lid) if kind == "skip" else self.bits.get(lid)
-
     def state_dict(self) -> dict:
         """Serialized ranges: {"<kind>:<layer>": {k, x_min, x_max, ...}}."""
         out = {}
         for site, tr in self.trackers.items():
             entry = tr.state_dict()
-            entry["k"] = self._site_bits(site)
+            entry["k"] = self.sites.get(site)
             out["%s:%s" % site] = entry
         return out

@@ -37,19 +37,17 @@ class Cell:
     table: str
     row: str
     metric: str
-    computed: float | None
+    computed: float
     published: float
     tolerance: float | None  # None: informational, not gated
 
     @property
-    def rel_dev(self) -> float | None:
-        if self.computed is None:
-            return None
+    def rel_dev(self) -> float:
         return self.computed / self.published - 1.0
 
     @property
     def within(self) -> bool | None:
-        if self.tolerance is None or self.rel_dev is None:
+        if self.tolerance is None:
             return None
         return abs(self.rel_dev) <= self.tolerance
 

@@ -10,7 +10,9 @@ bit-widths and channel counts are inherited from the destination layer of
 the skip connection (``adq.nn.arch.inherit_from_destinations``). The rule
 is applied where assignments are made, so every reader of an assignment
 (the quantizer, energy reports, checkpoints and logs) sees the inherited
-values.
+values. ``build_quantizer`` turns an assignment into the quantizer's site
+table, where exempt layers have no site and each residual add's skip
+branch runs at its destination's width.
 """
 
 from __future__ import annotations
@@ -305,11 +307,11 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
     prune_state = PruneState.initial(arch) if config.pruning_enabled else None
     history = ADHistory()
     log = ScheduleLog()
-    quantizer = None
+    trackers = {}  # activation ranges, carried from phase to phase
     epoch_global = 0
 
     for it in range(1, config.max_iters + 1):
-        quantizer = _build_quantizer(arch, assignment, config, quantizer)
+        quantizer = build_quantizer(arch, assignment, config, trackers)
         iter_epochs = []
         for _ in range(config.epoch_budget):
             epoch_global += 1
@@ -359,11 +361,11 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
             kept = inherit_from_destinations(
                 arch, select_pruned_channels(new_prune, scores))
             arch, state = rebuild_pruned(arch, state, new_prune, kept)
-            quantizer.trackers = {}  # channel identities changed
+            trackers = {}  # channel identities changed
         assignment, prune_state = new_assignment, new_prune
 
     # final convergence phase at the fixed assignment
-    quantizer = _build_quantizer(arch, assignment, config, quantizer)
+    quantizer = build_quantizer(arch, assignment, config, trackers)
     for _ in range(config.final_convergence_epochs):
         epoch_global += 1
         log.final_epochs += 1
@@ -384,15 +386,18 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
                           quantizer)
 
 
-def _build_quantizer(arch, assignment, config, previous):
-    """The quantizer for one phase; activation ranges carry over from the
-    previous phase's quantizer, if any."""
-    eff = propagate_skip_bitwidths(arch, assignment)
-    return NetworkQuantizer(
-        bits=assignment.k, exempt=assignment.exempt,
-        skip_bits=eff["skip_edge_bits"], act_mode=config.act_range_mode,
-        ema_decay=config.ema_decay,
-        trackers=previous.trackers if previous else {})
+def build_quantizer(arch: NetworkArch, assignment: BitWidthAssignment,
+                    config: ScheduleConfig, trackers=None) -> NetworkQuantizer:
+    """The one quantizer constructor: an input site per weighted layer that
+    is not exempt, at its assigned bit-width, and a skip site per residual
+    add, at its destination's. trackers, when given, holds activation
+    ranges to carry over, such as the previous phase's."""
+    sites = {("input", lid): k for lid, k in assignment.k.items()
+             if lid not in assignment.exempt}
+    edges = propagate_skip_bitwidths(arch, assignment)["skip_edge_bits"]
+    sites.update({("skip", add_id): k for add_id, k in edges.items()})
+    return NetworkQuantizer(sites, config.act_range_mode, config.ema_decay,
+                            {} if trackers is None else trackers)
 
 
 def _epoch_observer(arch: NetworkArch, history: ADHistory, epoch: int,

@@ -133,12 +133,17 @@ class TestTrain:
         {"remove_layers": ["a"]},
         {"remove_layers": [999]},
         {"remove_layers": [True]},
+        {"max_iters": 0},
+        {"initial_bits": 17},
+        {"saturation_window": 1},
+        {"epoch_budget": 2, "saturation_window": 3},
     ])
     def test_bad_schedule_field_rejected_at_load(self, tmp_path, capsys,
                                                  schedule):
         cfg_path, outdir = _write_config(tmp_path, {"schedule": schedule})
         assert main(["train", "-c", str(cfg_path)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not os.path.exists(outdir)
 
     @pytest.mark.parametrize("overrides", [
@@ -174,6 +179,9 @@ class TestTrain:
         {"dataset": {"kind": "directory", "test_fraction": 1.0}},
         {"dataset": {"image_shape": [1, 6, 6]}},
         {"dataset": {"num_classes": 12}},
+        {"schedule": {"nosie": 1}},
+        {"optimizer": {"nosie": 1}},
+        {"energy_model": "fast"},
     ])
     def test_bad_top_level_or_optimizer_field_rejected_at_load(
             self, tmp_path, capsys, overrides):

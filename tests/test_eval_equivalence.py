@@ -20,11 +20,9 @@ from adq.nn import engine
 from adq.nn.arch import LayerSpec, NetworkArch
 from adq.nn.data import synthetic_dataset
 from adq.presets import build_toy_cnn
-from adq.quant import NetworkQuantizer
 from adq.scheduler import (BitWidthAssignment, PruneState, ScheduleConfig,
-                           default_exempt, inherit_from_destinations,
-                           propagate_skip_bitwidths, rebuild_pruned,
-                           run_schedule)
+                           build_quantizer, inherit_from_destinations,
+                           rebuild_pruned, run_schedule)
 
 import oracles
 
@@ -33,10 +31,8 @@ SIZES = ((300, 256), (257, 256), (9, 4), (1, 256))
 
 
 def _quantizer(arch, bits):
-    assignment = BitWidthAssignment.initial(arch, bits)
-    skip = propagate_skip_bitwidths(arch, assignment)["skip_edge_bits"]
-    return NetworkQuantizer(bits=assignment.k, exempt=default_exempt(arch),
-                            skip_bits=skip)
+    return build_quantizer(arch, BitWidthAssignment.initial(arch, bits),
+                           ScheduleConfig())
 
 
 def _train_steps(arch, state, quantizer, steps=3, batch=16, seed=0):
@@ -99,7 +95,8 @@ def _pruned_residual():
     arch, state = rebuild_pruned(arch, state, prune, kept)
     quantizer = _quantizer(arch, 5)
     _train_steps(arch, state, quantizer, seed=1)
-    assert quantizer.skip_bits and quantizer.trackers[("skip", 10)].initialized
+    assert ("skip", 10) in quantizer.sites
+    assert quantizer.trackers[("skip", 10)].initialized
     return arch, state, quantizer
 
 
@@ -173,7 +170,8 @@ def test_eval_keeps_no_masks_and_quantizes_weights_once(monkeypatch):
         mp.setattr(quant, "fake_quant", recording_fake_quant)
         mp.setattr(quant, "ste_mask", no_mask)
         engine.predict(arch, state, x, quantizer, batch_size=4)
-    active = [lid for lid in arch.weighted_ids() if quantizer._active(lid)]
+    active = [lid for lid in arch.weighted_ids()
+              if ("input", lid) in quantizer.sites]
     assert len(active) == 3
     for lid in active:  # each weight once per call
         w = state.weights[lid]["w"]

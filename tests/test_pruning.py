@@ -99,8 +99,12 @@ class TestSkipRuleInSchedule:
                     res.assignment.k[t["destination"]]
                 assert res.prune_state.channels[cid] == \
                     res.prune_state.channels[t["destination"]]
-        ran = propagate_skip_bitwidths(res.arch, res.assignment)["layer_bits"]
-        assert ran == res.quantizer.bits
+        eff = propagate_skip_bitwidths(res.arch, res.assignment)
+        ran = eff["layer_bits"]
+        assert res.quantizer.sites == {
+            **{("input", lid): k for lid, k in ran.items()
+               if lid not in res.assignment.exempt},
+            **{("skip", aid): k for aid, k in eff["skip_edge_bits"].items()}}
         got = pim_network_energy(res.arch, res.assignment, res.prune_state)
         want = pim_network_energy(res.arch, ran, res.prune_state)
         assert got.to_dict() == want.to_dict()

@@ -43,6 +43,11 @@ class TestQuantize:
             QuantParams(17, 0.0, 1.0)
         with pytest.raises(ConfigurationError):
             QuantParams(4, 1.0, 0.0)
+        # the level scale 15 / 5e-324, and the width 2e308, overflow
+        with pytest.raises(ConfigurationError):
+            QuantParams(4, 0.0, 5e-324)
+        with pytest.raises(ConfigurationError):
+            QuantParams(4, -1e308, 1e308)
 
     @given(st.integers(min_value=1, max_value=16),
            st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
@@ -154,14 +159,14 @@ class TestSteGrad:
 
 class TestRangeTracker:
     def test_first_observation_constant(self):
-        tr = RangeTracker("minmax")
+        tr = RangeTracker("minmax", 0.99)
         tr.observe(np.full(4, 3.25))
         assert tr.x_min == tr.x_max == 3.25
 
     def test_minmax_matches_concatenation(self):
         rng = np.random.default_rng(19)
         a, b = rng.normal(size=50), rng.normal(size=80)
-        tr = RangeTracker("minmax")
+        tr = RangeTracker("minmax", 0.99)
         tr.observe(a)
         tr.observe(b)
         both = np.concatenate([a, b])
@@ -192,4 +197,4 @@ class TestRangeTracker:
 
     def test_params_before_observation_rejected(self):
         with pytest.raises(InputError):
-            RangeTracker().params(4)
+            RangeTracker("ema", 0.99).params(4)

@@ -9,7 +9,7 @@ from adq.nn.data import iter_batches, synthetic_dataset
 from adq.nn.engine import (OptimConfig, accuracy, backward, forward,
                            init_state, loss_softmax_xent, optimizer_step)
 from adq.presets import build_toy_cnn
-from adq.quant import NetworkQuantizer
+from adq.scheduler import BitWidthAssignment, ScheduleConfig, build_quantizer
 from oracles import softmax_xent_direct
 
 
@@ -75,20 +75,23 @@ class TestAdam:
         with pytest.raises(InputError):
             optimizer_step(state, {1: {"w": np.zeros((2, 2))}}, OptimConfig())
 
-    def test_quadratic_descends_like_scalar_reference(self):
-        # minimize (w - 3)^2 with Adam; compare against an independent scalar
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    def test_quadratic_descends_like_scalar_reference(self, weight_decay):
+        # minimize (w - 3)^2 with Adam, plus weight_decay / 2 * w^2 from
+        # the decay term; compare against an independent scalar
         # implementation of the same update rule, then check descent
         arch, state = _scalar_model()
         state.weights[1]["w"] = np.zeros((1, 1))
-        cfg = OptimConfig(lr=0.05)
+        cfg = OptimConfig(lr=0.05, weight_decay=weight_decay)
         w_ref, m_ref, v_ref = 0.0, 0.0, 0.0
         losses = []
         for t in range(1, 101):
             w = state.weights[1]["w"][0, 0]
-            losses.append((w - 3.0) ** 2)
+            losses.append((w - 3.0) ** 2 + weight_decay / 2 * w * w)
             g = 2.0 * (w - 3.0)
             optimizer_step(state, {1: {"w": np.array([[g]]),
                                        "b": np.zeros(1)}}, cfg)
+            g = g + weight_decay * w
             m_ref = 0.9 * m_ref + 0.1 * g
             v_ref = 0.999 * v_ref + 0.001 * g * g
             mhat = m_ref / (1 - 0.9 ** t)
@@ -156,13 +159,9 @@ def test_16bit_training_matches_unquantized_within_half_point():
         state = init_state(arch, seed=5)
         quant = None
         if mode == "quant16":
-            from adq.scheduler import (BitWidthAssignment,
-                                       propagate_skip_bitwidths)
-            assignment = BitWidthAssignment.initial(arch, 16)
-            eff = propagate_skip_bitwidths(arch, assignment)
-            quant = NetworkQuantizer(bits=eff["layer_bits"],
-                                     exempt=assignment.exempt,
-                                     skip_bits=eff["skip_edge_bits"])
+            quant = build_quantizer(arch,
+                                    BitWidthAssignment.initial(arch, 16),
+                                    ScheduleConfig())
         cfg = OptimConfig(lr=2e-3)
         for _ in range(8):
             for bx, by in iter_batches(ds.x_train, ds.y_train, 64, state.rng):
