@@ -19,6 +19,7 @@ the report, since a true binary execution path would use different hardware.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -146,7 +147,9 @@ class EnergyReport:
         }
 
     def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
+        """The report as JSON, byte for byte ``json.dumps(self.to_dict(),
+        indent=2)``, written by the C encoder (see ``_indent2``)."""
+        text = _indent2(self.to_dict())
         if path is not None:
             with open(path, "w") as f:
                 f.write(text)
@@ -171,6 +174,50 @@ class EnergyReport:
             with open(path, "w", newline="") as f:
                 f.write(text)
         return text
+
+
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+@functools.cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """A C encoder whose item separator starts a new line `depth` levels of
+    two spaces deep."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
+
+
+def _is_flat(values) -> bool:
+    return set(map(type, values)) <= _SCALARS
+
+
+def _indent2(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)`` for str-keyed JSON data. The indenting
+    encoder is pure Python; here the C encoder writes each container that
+    holds no container in one call, and a list of such dicts (a report's
+    rows) in one call for the whole list."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return _encoder(0).encode(obj)  # a scalar, {} or []
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    is_dict = isinstance(obj, dict)
+    if _is_flat(obj.values() if is_dict else obj):
+        body = _encoder(depth + 1).encode(obj)[1:-1]
+    elif is_dict:
+        body = ("," + inner).join(
+            _encoder(0).encode(k) + ": " + _indent2(v, depth + 1)
+            for k, v in obj.items())
+    elif all(isinstance(v, dict) and v and _is_flat(v.values()) for v in obj):
+        # the encoder writes "},<separator>{" between two rows and nowhere
+        # else, since an encoded string holds no raw newline
+        row_pad = inner + "  "
+        rows = _encoder(depth + 2).encode(obj)[2:-2].replace(
+            "}," + row_pad + "{", inner + "}," + inner + "{" + row_pad)
+        body = "{" + row_pad + rows + inner + "}"
+    else:
+        body = ("," + inner).join(_indent2(v, depth + 1) for v in obj)
+    opening, closing = "{}" if is_dict else "[]"
+    return opening + inner + body + pad + closing
 
 
 def _resolve_bits(shapes, assignment):
@@ -201,8 +248,10 @@ def _network_energy(model, arch, assignment, prune_state, baseline_bits,
             in_channels=s.i, out_channels=s.o,
             n_mem=mem_accesses(s), n_mac=mac_count(s),
             energy_pj=energy_pj, binary_flag=(k == 1)))
+    # an unpruned report is costed at the baseline's own shapes
+    base_shapes = shapes if channels is None else layer_shapes(arch)
     report.baseline_total_pj = sum(
-        cost(s, baseline_bits)[1] for s in layer_shapes(arch))
+        cost(s, baseline_bits)[1] for s in base_shapes)
     return report
 
 

@@ -55,7 +55,7 @@ def init_state(arch: NetworkArch, seed: int) -> TrainState:
 @dataclass
 class ForwardCache:
     arch_hash: str
-    # layer id -> (input ids, kernel cache, per-input STE masks, weight mask)
+    # layer id -> (input ids, kernel cache, per-input STE masks)
     entries: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)  # layer id -> output array
 
@@ -70,18 +70,16 @@ def _check_batch(arch: NetworkArch, batch):
     return batch
 
 
-def _kernel_params(arch: NetworkArch, state: TrainState, quantizer, masks):
-    """{layer id: (its forward kernel's parameters, the weight's STE mask)}.
-    A quantized layer's weights come fake-quantized; masks=False skips the
-    STE masks."""
+def _kernel_params(arch: NetworkArch, state: TrainState, quantizer):
+    """{layer id: its forward kernel's parameters}. A quantized layer's
+    weights come fake-quantized."""
     out = {}
     for spec in arch.layers:
         kind = KINDS[spec.kind]
         params = [state.weights[spec.id][name] for name in kind.params]
-        w_mask = None
         if quantizer is not None and kind.weighted:
-            params[0], w_mask = quantizer.weight(spec.id, params[0], masks)
-        out[spec.id] = params, w_mask
+            params[0] = quantizer.weight(spec.id, params[0])
+        out[spec.id] = params
     return out
 
 
@@ -108,15 +106,14 @@ def _run_layers(arch, batch, params, quantizer, training, observe, cache=None):
             elif kind.inputs == 2:
                 xs[1], masks[1] = quantizer.skip_activation(spec.id, xs[1],
                                                             training, keep)
-        layer_params, w_mask = params[spec.id]
         # looked up per call, so a rebound kernel attribute is honoured
         out, kc = getattr(L, f"{kind.kernel}_forward")(
-            *xs, *layer_params, *kind.args(spec, training))
+            *xs, *params[spec.id], *kind.args(spec, training))
         if spec.id in observe:
             observe[spec.id](out)
         outputs[spec.id] = out
         if keep:
-            cache.entries[spec.id] = (srcs, kc, masks, w_mask)
+            cache.entries[spec.id] = (srcs, kc, masks)
         else:
             for src in srcs:
                 if last_reader[src] == spec.id:
@@ -137,7 +134,7 @@ def forward(arch: NetworkArch, state: TrainState, batch, observe=None,
     batch = _check_batch(arch, batch)
     cache = ForwardCache(arch_hash=arch.arch_hash())
     logits = _run_layers(arch, batch,
-                         _kernel_params(arch, state, quantizer, True),
+                         _kernel_params(arch, state, quantizer),
                          quantizer, training, observe or {}, cache)
     return logits, cache
 
@@ -149,8 +146,9 @@ def backward(arch: NetworkArch, state: TrainState, cache: ForwardCache,
     Returns (grads, gx): grads is {layer_id: {param: grad}} for every
     trainable layer, gx the gradient with respect to the network input when
     input_grad is set and None otherwise. Only the gradients those need are
-    computed. Gradients of quantized tensors pass through the
-    straight-through masks captured at forward time.
+    computed. Gradients of quantized activations pass through the
+    straight-through masks captured at forward time; a weight's range is
+    its own [min, max], so its gradient passes whole.
     """
     if not isinstance(cache, ForwardCache) or not cache.entries:
         raise UsageError("backward needs the cache returned by forward()")
@@ -178,7 +176,7 @@ def backward(arch: NetworkArch, state: TrainState, cache: ForwardCache,
         if gout is None or not needed[spec.id]:
             continue  # dead branch, or nothing upstream to train
         kind = KINDS[spec.kind]
-        srcs, kc, masks, w_mask = cache.entries[spec.id]
+        srcs, kc, masks = cache.entries[spec.id]
         kernel = getattr(L, f"{kind.kernel}_backward")
         if kind.trainable and not needed[srcs[0]]:
             gin, pg = kernel(kc, gout, input_grad=False)
@@ -188,8 +186,6 @@ def backward(arch: NetworkArch, state: TrainState, cache: ForwardCache,
             gins = (gin, pg)
         else:
             gins = (gin,)
-            if w_mask is not None:
-                pg["w"] = pg["w"] * w_mask
             if kind.trainable:
                 grads[spec.id] = pg
         for src, g, mask in zip(srcs, gins, masks):
@@ -275,7 +271,7 @@ def eval_logits(arch, state, x, quantizer=None, batch_size=256, observe=None):
     fake-quantized once per call. observe is forward()'s, called per batch.
     It is not a training pass, so the quantizer's ranges stay frozen.
     """
-    params = _kernel_params(arch, state, quantizer, False)
+    params = _kernel_params(arch, state, quantizer)
     logits = [_run_layers(arch, _check_batch(arch, x[i:i + batch_size]),
                           params, quantizer, False, observe or {})
               for i in range(0, len(x), batch_size)]

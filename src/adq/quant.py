@@ -173,20 +173,22 @@ class NetworkQuantizer:
     ema_decay: float
     trackers: dict  # site -> RangeTracker
 
-    # Each of the three returns (quantized tensor, STE mask). The mask is
-    # None when the tensor passes unquantized, or when mask is false: a
-    # forward-only pass has no backward to use it. The two activation sites
-    # observe x into their range only when training is set.
-
-    def weight(self, layer_id, w, mask=True):
+    def weight(self, layer_id, w):
+        """The weights, fake-quantized over their own [min, max]. That
+        range holds every weight, so their straight-through mask would be
+        all ones and none is made."""
         k = self.sites.get(("input", layer_id))
         if k is None:
-            return w, None
+            return w
         lo, hi = float(w.min()), float(w.max())
         if not (np.isfinite(lo) and np.isfinite(hi)):
-            return w, None  # let divergence surface at the loss check
-        qp = QuantParams(k, lo, hi)
-        return fake_quant(w, qp), (ste_mask(w, qp) if mask else None)
+            return w  # let divergence surface at the loss check
+        return fake_quant(w, QuantParams(k, lo, hi))
+
+    # The two activation sites return (quantized tensor, STE mask). The
+    # mask is None when the tensor passes unquantized, or when mask is
+    # false: a forward-only pass has no backward to use it. They observe x
+    # into their range only when training is set.
 
     def activation(self, layer_id, x, training, mask=True):
         """Quantize the tensor entering a weighted layer."""

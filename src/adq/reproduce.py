@@ -14,6 +14,9 @@ Interpretation notes (each choice is validated by the tolerances below):
   5-14x lower); those cells are reported without a pass/fail gate.
 * Training complexity normalizes by a full baseline run: 210 epochs for
   VGG19/CIFAR-10 (the full published baseline run), fitted totals elsewhere.
+
+``compute_table`` builds each distinct preset architecture once per table
+and hands it to every row that costs on it; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -52,18 +55,32 @@ class Cell:
         return abs(self.rel_dev) <= self.tolerance
 
 
-def _analytical_ratio(preset_name: str) -> float:
+def _arch_builder():
+    """arch_of(preset) -> its architecture, built on first use. Presets
+    share one when they agree on (arch_kind, num_classes, input_size,
+    removed_convs), the fields build_arch reads."""
+    archs = {}
+
+    def arch_of(p):
+        key = (p.arch_kind, p.num_classes, p.input_size, p.removed_convs)
+        if key not in archs:
+            archs[key] = p.build_arch()
+        return archs[key]
+    return arch_of
+
+
+def _analytical_ratio(arch_of, preset_name: str) -> float:
     p = get_preset(preset_name)
-    arch = p.build_arch()
+    arch = arch_of(p)
     rep = analytical_network_energy(arch, p.bit_assignment(arch),
                                     p.channel_assignment(arch),
                                     baseline_bits=p.baseline_bits)
     return rep.efficiency
 
 
-def _pim_report(arch_preset: str, bits_preset: str, channels_preset=None):
-    base = get_preset(arch_preset)
-    arch = base.build_arch()
+def _pim_report(arch_of, arch_preset: str, bits_preset: str,
+                channels_preset=None):
+    arch = arch_of(get_preset(arch_preset))
     bits = get_preset(bits_preset).bit_assignment(arch)
     channels = None
     if channels_preset is not None:
@@ -125,26 +142,22 @@ TABLE5 = [
 
 
 def compute_table(table_id) -> list[Cell]:
-    table_id = str(table_id)
-    if table_id == "1":
-        return _table1()
-    if table_id == "2":
-        return _table2()
-    if table_id == "4":
-        return _table4()
-    if table_id == "5":
-        return _table5()
-    raise InputError(f"unknown table {table_id!r}; choose from 1, 2, 4, 5")
+    table = {"1": _table1, "2": _table2, "4": _table4,
+             "5": _table5}.get(str(table_id))
+    if table is None:
+        raise InputError(
+            f"unknown table {str(table_id)!r}; choose from 1, 2, 4, 5")
+    return table(_arch_builder())
 
 
-def _table1() -> list[Cell]:
+def _table1(arch_of) -> list[Cell]:
     cells = []
     for family, rows in TABLE1:
         baseline_total = BASELINE_EPOCH_TOTALS[family]
         ratios = {}  # preset -> its efficiency, costed once per family
         for label, path in rows:
             p = get_preset(path[-1])
-            ratio = ratios[p.name] = _analytical_ratio(p.name)
+            ratio = ratios[p.name] = _analytical_ratio(arch_of, p.name)
             cells.append(Cell("1", f"{family} {label}", "energy_efficiency",
                               ratio, p.published["energy_efficiency"],
                               EFF_TOL if len(path) > 1 else 0.0))
@@ -160,22 +173,22 @@ def _table1() -> list[Cell]:
     return cells
 
 
-def _table2() -> list[Cell]:
+def _table2(arch_of) -> list[Cell]:
     cells = []
     for family, names in TABLE2:
         for name in names:
             p = get_preset(name)
-            ratio = _analytical_ratio(name)
+            ratio = _analytical_ratio(arch_of, name)
             cells.append(Cell("2", name, "energy_efficiency", ratio,
                               p.published["energy_efficiency"], None))
     return cells
 
 
-def _table4() -> list[Cell]:
+def _table4(arch_of) -> list[Cell]:
     cells = []
     for row, base_name, bits_name, pub_uj, pub_base_uj, pub_red in TABLE4:
         family = get_preset(base_name).family
-        rep = _pim_report(base_name, bits_name)
+        rep = _pim_report(arch_of, base_name, bits_name)
         base_uj = rep.baseline_total_pj / 1e6
         cells.append(Cell("4", row, "baseline_energy_uJ", base_uj,
                           pub_base_uj, PIM_BASE_TOL[family]))
@@ -186,10 +199,10 @@ def _table4() -> list[Cell]:
     return cells
 
 
-def _table5() -> list[Cell]:
+def _table5(arch_of) -> list[Cell]:
     cells = []
     for row, base_name, bits_name, ch_name, pub_uj, pub_base_uj, pub_red in TABLE5:
-        rep = _pim_report(base_name, bits_name, ch_name)
+        rep = _pim_report(arch_of, base_name, bits_name, ch_name)
         cells.append(Cell("5", row, "pruned_energy_uJ", rep.total_uj, pub_uj,
                           PIM_PRUNED_TOL))
         cells.append(Cell("5", row, "energy_reduction", rep.efficiency,

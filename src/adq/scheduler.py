@@ -319,8 +319,7 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
                                         config, optim, history, epoch_global,
                                         diagnostics_dir, assignment,
                                         prune_state)
-            acc = engine.accuracy(arch, state, dataset.x_test, dataset.y_test,
-                                  quantizer)
+            acc = _test_accuracy(arch, state, dataset, quantizer)
             log.epoch_accuracy.append((epoch_global, acc))
             iter_epochs.append(epoch_global)
             if history.is_saturated(config.saturation_epsilon,
@@ -372,15 +371,13 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
         _train_epoch(arch, state, quantizer, dataset, config, optim,
                      history, epoch_global, diagnostics_dir,
                      assignment, prune_state)
-        acc = engine.accuracy(arch, state, dataset.x_test, dataset.y_test,
-                              quantizer)
+        acc = _test_accuracy(arch, state, dataset, quantizer)
         log.epoch_accuracy.append((epoch_global, acc))
     # the last final epoch evaluated this state and quantizer already; with
     # no final epochs the assignment, and so the quantizer, changed since
     # the last evaluation
     if not config.final_convergence_epochs:
-        acc = engine.accuracy(arch, state, dataset.x_test, dataset.y_test,
-                              quantizer)
+        acc = _test_accuracy(arch, state, dataset, quantizer)
     log.final_accuracy = acc
     return ScheduleResult(arch, state, assignment, prune_state, log, history,
                           quantizer)
@@ -433,6 +430,17 @@ def _epoch_observer(arch: NetworkArch, history: ADHistory, epoch: int,
     return {obs: partial(record, wids) for obs, wids in by_obs.items()}, counts
 
 
+# a diverging network overflows into inf and NaN; the loss check reports
+# that, so numpy's warnings would only repeat it
+_QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore"}
+
+
+def _test_accuracy(arch, state, dataset, quantizer) -> float:
+    with np.errstate(**_QUIET_OVERFLOW):
+        return engine.accuracy(arch, state, dataset.x_test, dataset.y_test,
+                               quantizer)
+
+
 def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
                  epoch, diagnostics_dir, assignment, prune_state):
     """Train one epoch, recording its AD into history. Returns the mean
@@ -441,27 +449,28 @@ def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
     observe, counts = _epoch_observer(arch, history, epoch,
                                       config.pruning_enabled)
     losses = []
-    for bx, by in iter_batches(dataset.x_train, dataset.y_train,
-                               config.batch_size, state.rng):
-        logits, cache = engine.forward(
-            arch, state, bx, None if config.strict_ad_pass else observe,
-            quantizer=quantizer, training=True)
-        loss, lgrad = engine.loss_softmax_xent(logits, by)
-        if not np.isfinite(loss):
-            path = None
-            if diagnostics_dir is not None:
-                path = f"{diagnostics_dir}/diverged_epoch{epoch}.ckpt"
-                save_schedule_checkpoint(path, arch, state, assignment,
-                                         prune_state, history)
-            raise TrainingDiverged(
-                f"non-finite loss at epoch {epoch}", checkpoint_path=path)
-        grads, _ = engine.backward(arch, state, cache, lgrad)
-        engine.optimizer_step(state, grads, optim)
-        losses.append(loss)
-    if config.strict_ad_pass:
-        # dedicated full-train-set pass with the post-epoch model
-        engine.eval_logits(arch, state, dataset.x_train, quantizer,
-                           config.batch_size, observe)
+    with np.errstate(**_QUIET_OVERFLOW):
+        for bx, by in iter_batches(dataset.x_train, dataset.y_train,
+                                   config.batch_size, state.rng):
+            logits, cache = engine.forward(
+                arch, state, bx, None if config.strict_ad_pass else observe,
+                quantizer=quantizer, training=True)
+            loss, lgrad = engine.loss_softmax_xent(logits, by)
+            if not np.isfinite(loss):
+                path = None
+                if diagnostics_dir is not None:
+                    path = f"{diagnostics_dir}/diverged_epoch{epoch}.ckpt"
+                    save_schedule_checkpoint(path, arch, state, assignment,
+                                             prune_state, history)
+                raise TrainingDiverged(
+                    f"non-finite loss at epoch {epoch}", checkpoint_path=path)
+            grads, _ = engine.backward(arch, state, cache, lgrad)
+            engine.optimizer_step(state, grads, optim)
+            losses.append(loss)
+        if config.strict_ad_pass:
+            # dedicated full-train-set pass with the post-epoch model
+            engine.eval_logits(arch, state, dataset.x_train, quantizer,
+                               config.batch_size, observe)
     state.epoch = epoch
     scores = {lid: pos / n for lid, (pos, n) in counts.items()}
     return float(np.mean(losses)), scores

@@ -1,7 +1,7 @@
 """Independent reference implementations used as test oracles.
 
 Most of it shares no code with the package internals and is deliberately
-naive (nested loops, direct formulas). Five pieces are the package's former
+naive (nested loops, direct formulas). Six pieces are the package's former
 code, kept as a bit-for-bit reference: the einsum convolution kernels; the
 quantizer and batchnorm forward that allocated a new array per operation;
 the pruning rebuild that mirrored skip-path convs onto their destinations
@@ -9,18 +9,24 @@ and walked back from each linear layer to the flatten (it builds its result
 with the package's architecture and engine); the evaluation that ran the
 training forward batch by batch (``predict``, ``eval_logits``); and the
 graph walks that resolved skip connections and AD observation points per
-call (``skip_topology``, ``observation_points``).
+call (``skip_topology``, ``observation_points``); and the ``reproduce``
+tables that built each row's preset architecture for that row
+(``reproduce_table``).
 """
 
 from dataclasses import replace
 
 import numpy as np
 
+from adq import reproduce as R
+from adq.energy import (analytical_network_energy, pim_network_energy,
+                        training_complexity)
 from adq.errors import ConfigurationError, InputError
 from adq.nn import engine
 from adq.nn.arch import KINDS, NetworkArch
 from adq.nn.engine import forward
 from adq.nn.layers import BN_EPS
+from adq.presets import BASELINE_EPOCH_TOTALS, get_preset
 from adq.quant import QuantParams
 from adq.scheduler import PruneState
 
@@ -466,3 +472,80 @@ def observation_points(arch: NetworkArch) -> dict[int, tuple[int, bool]]:
         else:
             points[spec.id] = (found, True)
     return points
+
+
+# The package's former ``reproduce`` table code: ``_analytical_ratio`` and
+# ``_pim_report`` verbatim, each building its row's architecture, and the
+# table loops around them. The rows and tolerances are the package's.
+
+def _analytical_ratio(preset_name: str) -> float:
+    p = get_preset(preset_name)
+    arch = p.build_arch()
+    rep = analytical_network_energy(arch, p.bit_assignment(arch),
+                                    p.channel_assignment(arch),
+                                    baseline_bits=p.baseline_bits)
+    return rep.efficiency
+
+
+def _pim_report(arch_preset: str, bits_preset: str, channels_preset=None):
+    base = get_preset(arch_preset)
+    arch = base.build_arch()
+    bits = get_preset(bits_preset).bit_assignment(arch)
+    channels = None
+    if channels_preset is not None:
+        channels = get_preset(channels_preset).channel_assignment(arch)
+    return pim_network_energy(arch, bits, channels)
+
+
+def reproduce_table(table_id) -> list:
+    """``reproduce.compute_table`` with one architecture build per row."""
+    cells = []
+    if table_id == "1":
+        for family, rows in R.TABLE1:
+            baseline_total = BASELINE_EPOCH_TOTALS[family]
+            ratios = {}
+            for label, path in rows:
+                p = get_preset(path[-1])
+                ratio = ratios[p.name] = _analytical_ratio(p.name)
+                cells.append(R.Cell("1", f"{family} {label}",
+                                    "energy_efficiency", ratio,
+                                    p.published["energy_efficiency"],
+                                    R.EFF_TOL if len(path) > 1 else 0.0))
+                if len(path) == 1:
+                    tc = 1.0
+                else:
+                    iters = [(ratios[n], get_preset(n).published["epochs"])
+                             for n in path]
+                    tc = training_complexity(iters, baseline_total)
+                cells.append(R.Cell("1", f"{family} {label}",
+                                    "train_complexity", tc,
+                                    p.published["train_complexity"],
+                                    R.TC_TOL if len(path) > 1 else 0.0))
+    elif table_id == "2":
+        for family, names in R.TABLE2:
+            for name in names:
+                p = get_preset(name)
+                cells.append(R.Cell("2", name, "energy_efficiency",
+                                    _analytical_ratio(name),
+                                    p.published["energy_efficiency"], None))
+    elif table_id == "4":
+        for row, base_name, bits_name, pub_uj, pub_base_uj, pub_red \
+                in R.TABLE4:
+            family = get_preset(base_name).family
+            rep = _pim_report(base_name, bits_name)
+            cells.append(R.Cell("4", row, "baseline_energy_uJ",
+                                rep.baseline_total_pj / 1e6, pub_base_uj,
+                                R.PIM_BASE_TOL[family]))
+            cells.append(R.Cell("4", row, "mixed_energy_uJ", rep.total_uj,
+                                pub_uj, R.PIM_MIXED_TOL))
+            cells.append(R.Cell("4", row, "energy_reduction", rep.efficiency,
+                                pub_red, R.PIM_MIXED_TOL))
+    elif table_id == "5":
+        for row, base_name, bits_name, ch_name, pub_uj, pub_base_uj, \
+                pub_red in R.TABLE5:
+            rep = _pim_report(base_name, bits_name, ch_name)
+            cells.append(R.Cell("5", row, "pruned_energy_uJ", rep.total_uj,
+                                pub_uj, R.PIM_PRUNED_TOL))
+            cells.append(R.Cell("5", row, "energy_reduction", rep.efficiency,
+                                pub_red, R.PIM_PRUNED_TOL))
+    return cells

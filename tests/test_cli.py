@@ -2,11 +2,14 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from adq.cli import main
+from adq.energy import analytical_network_energy, pim_network_energy
+from adq.presets import get_preset, preset_names
 
 TOY_CONFIG = {
     "seed": 7,
@@ -191,6 +194,18 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not os.path.exists(outdir)
 
+    @pytest.mark.parametrize("lr", [1e300, 1e306, 1e307])
+    def test_divergence_prints_only_the_diagnostic(self, tmp_path, capsys,
+                                                   lr):
+        cfg_path, _ = _write_config(tmp_path, {"optimizer": {"lr": lr}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["train", "-c", str(cfg_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2, err
+        assert err[0].startswith("training diverged: ")
+        assert err[1].startswith("diagnostic checkpoint: ")
+
     def test_config_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
@@ -220,6 +235,25 @@ class TestEnergy:
         files = os.listdir(tmp_path)
         assert any(f.endswith(".json") for f in files)
         assert any(f.endswith(".csv") for f in files)
+
+    @pytest.mark.parametrize("model", ["analytical", "pim"])
+    @pytest.mark.parametrize("name", preset_names())
+    def test_report_files_are_indent2_json(self, tmp_path, name, model):
+        p = get_preset(name)
+        arch = p.build_arch()
+        bits = p.bit_assignment(arch)
+        rc = main(["energy", "--preset", name, "--model", model,
+                   "--out", str(tmp_path)])
+        if model == "pim" and max(bits.values()) > 16:
+            assert rc == 1  # beyond the PIM precisions
+            return
+        assert rc == 0
+        channels = p.channel_assignment(arch)
+        rep = (pim_network_energy(arch, bits, channels) if model == "pim"
+               else analytical_network_energy(arch, bits, channels,
+                                              baseline_bits=p.baseline_bits))
+        text = (tmp_path / f"energy_{name}_{model}.json").read_text()
+        assert text == json.dumps(rep.to_dict(), indent=2)
 
     def test_uniform_preset_ratio_exactly_one(self, capsys):
         assert main(["energy", "--preset", "resnet18-cifar100-baseline",

@@ -1,16 +1,19 @@
 """Energy model unit tests: counting formulas, both cost models,
 training complexity, and model invariants."""
 
+import json
 from dataclasses import replace
 from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adq.energy import (ADD32_PJ, MEM_PJ_PER_BIT, MULT32_PJ, LayerShape,
-                        analytical_layer_energy, analytical_network_energy,
-                        layer_shapes, mac_count, mem_accesses,
-                        pim_network_energy, pim_round_bits,
+from adq import energy
+from adq.energy import (ADD32_PJ, MEM_PJ_PER_BIT, MULT32_PJ, EnergyReport,
+                        LayerEnergy, LayerShape, analytical_layer_energy,
+                        analytical_network_energy, layer_shapes, mac_count,
+                        mem_accesses, pim_network_energy, pim_round_bits,
                         training_complexity)
 from adq.errors import InputError
 from adq.nn.arch import NetworkArch
@@ -254,3 +257,65 @@ class TestChannelOverrides:
         got = layer_shapes(arch, channels)
         assert got == layer_shapes(_resized(arch, channels))
         assert any(s.o != t.o for s, t in zip(got, layer_shapes(arch)))
+
+
+class TestReportJson:
+    """to_json is byte for byte json.dumps(to_dict(), indent=2)."""
+
+    @pytest.mark.parametrize("model", ["analytical", "pim"])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset(self, name, model):
+        p = PRESETS[name]
+        arch = p.build_arch()
+        bits = p.bit_assignment(arch)
+        if model == "pim" and max(bits.values()) > 16:
+            with pytest.raises(InputError):  # beyond the PIM precisions
+                pim_network_energy(arch, bits)
+            return
+        for channels in (None, p.channel_assignment(arch)):
+            if model == "pim":
+                rep = pim_network_energy(arch, bits, channels)
+            else:
+                rep = analytical_network_energy(
+                    arch, bits, channels, baseline_bits=p.baseline_bits)
+            assert rep.to_json() == json.dumps(rep.to_dict(), indent=2)
+
+    def test_nan_inf_none_and_true(self, tmp_path):
+        rows = [LayerEnergy(0, "conv", 1, None, 3, 4, 5, 6, float("nan"),
+                            True),
+                LayerEnergy(1, "linear", 16, 16, 4, 2, 8, 8, float("inf")),
+                LayerEnergy(2, "linear", 2, 2, 2, 2, 1, 1, -0.0)]
+        rep = EnergyReport("pim", rows, baseline_total_pj=float("-inf"))
+        want = json.dumps(rep.to_dict(), indent=2)
+        assert "NaN" in want and "Infinity" in want and "null" in want
+        path = tmp_path / "r.json"
+        assert rep.to_json(path) == want
+        assert path.read_text() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: (st.lists(inner) | st.dictionaries(st.text(), inner)
+                       | st.lists(st.dictionaries(st.text(), inner,
+                                                  min_size=1))),
+        max_leaves=25))
+    def test_writer_matches_the_indenting_encoder(self, doc):
+        assert energy._indent2(doc) == json.dumps(doc, indent=2)
+
+    def test_unpruned_report_infers_shapes_once(self, monkeypatch):
+        p = PRESETS["vgg19-cifar10-prune-iter2"]
+        arch = p.build_arch()
+        bits = p.bit_assignment(arch)
+        calls = []
+        real = energy.layer_shapes
+
+        def counting_shapes(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(energy, "layer_shapes", counting_shapes)
+        unpruned = pim_network_energy(arch, bits)
+        assert len(calls) == 1
+        pruned = pim_network_energy(arch, bits, p.channel_assignment(arch))
+        assert len(calls) == 3  # its own shapes, then the baseline's
+        assert unpruned.baseline_total_pj == pruned.baseline_total_pj

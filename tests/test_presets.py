@@ -1,10 +1,13 @@
 """Preset catalog integrity and the published-number reproductions."""
 
+from dataclasses import astuple
+
 import pytest
 
+import oracles
 from adq.energy import analytical_network_energy, pim_network_energy
 from adq.errors import InputError
-from adq.presets import (PRESETS, get_preset, preset_names,
+from adq.presets import (PRESETS, Preset, get_preset, preset_names,
                          resnet_bits_from_raw, vgg_bits_from_raw)
 from adq.reproduce import compute_table
 from adq.scheduler import main_chain_weighted_ids, skip_topology
@@ -184,3 +187,22 @@ class TestReproduceTables:
         a = [(c.row, c.metric, c.computed) for c in compute_table("4")]
         b = [(c.row, c.metric, c.computed) for c in compute_table("4")]
         assert a == b
+
+    @pytest.mark.parametrize("table,archs", [("1", 4), ("2", 3), ("4", 2),
+                                             ("5", 2)])
+    def test_one_build_per_distinct_arch_and_the_same_cells(
+            self, monkeypatch, table, archs):
+        want = [astuple(c) for c in oracles.reproduce_table(table)]
+        built = []
+        real = Preset.build_arch
+
+        def counting_build(preset):
+            built.append(preset.name)
+            return real(preset)
+
+        monkeypatch.setattr(Preset, "build_arch", counting_build)
+        assert [astuple(c) for c in compute_table(table)] == want
+        assert len(built) == archs
+        # nothing is kept for the next call
+        compute_table(table)
+        assert len(built) == 2 * archs
