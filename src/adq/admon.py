@@ -112,12 +112,19 @@ class ADHistory:
 
     @classmethod
     def from_csv(cls, path) -> "ADHistory":
+        """Read to_csv's file; a missing column or a value that is not an
+        integer raises InputError."""
         hist = cls()
         with open(path, newline="") as f:
-            for row in csv.DictReader(f):
-                key = (int(row["layer_id"]), int(row["epoch"]))
-                hist.records[key] = ADRecord(
-                    key[0], key[1], int(row["nonzero"]), int(row["total"]))
+            reader = csv.DictReader(f)
+            try:
+                for row in reader:
+                    key = (int(row["layer_id"]), int(row["epoch"]))
+                    hist.records[key] = ADRecord(
+                        key[0], key[1], int(row["nonzero"]), int(row["total"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"{path!r}, line {reader.line_num}: not an "
+                                 f"AD history row ({exc!r})") from None
         return hist
 
     def to_rows(self):

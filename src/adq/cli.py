@@ -239,23 +239,28 @@ def cmd_plotdata(args) -> int:
         raise InputError(
             f"{run!r} does not contain run artifacts "
             "(ad_history.csv, schedule_log.json)")
-    hist = ADHistory.from_csv(ad_csv)
-    with open(log_json) as f:
-        log = json.load(f)
+    # read and check both artifacts before writing either output
+    ad_rows = [[row["layer_id"], row["epoch"], f"{row['ad']:.10g}"]
+               for row in ADHistory.from_csv(ad_csv).to_rows()]
+    try:
+        with open(log_json) as f:
+            acc_rows = [[epoch, f"{acc:.6f}"]
+                        for epoch, acc in json.load(f)["epoch_accuracy"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{log_json!r} is not a schedule log with an "
+                         f"epoch_accuracy list ({exc!r})") from None
 
     out_ad = os.path.join(run, "ad_vs_epoch.csv")
     with open(out_ad, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["layer_id", "epoch", "ad"])
-        for row in hist.to_rows():
-            w.writerow([row["layer_id"], row["epoch"], f"{row['ad']:.10g}"])
+        w.writerows(ad_rows)
 
     out_acc = os.path.join(run, "accuracy_vs_epoch.csv")
     with open(out_acc, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["epoch", "test_accuracy"])
-        for epoch, acc in log["epoch_accuracy"]:
-            w.writerow([epoch, f"{acc:.6f}"])
+        w.writerows(acc_rows)
     print(out_ad)
     print(out_acc)
     return EXIT_OK

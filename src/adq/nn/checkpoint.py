@@ -31,7 +31,7 @@ def _blob_entries(state: TrainState):
 
 def save_checkpoint(path, arch: NetworkArch, state: TrainState, *,
                     bits=None, channels=None, ad_history=None,
-                    quant_state=None, extra=None):
+                    quant_state=None):
     blobs = []
     index = []
     offset = 0
@@ -55,7 +55,7 @@ def save_checkpoint(path, arch: NetworkArch, state: TrainState, *,
         "channels": channels,
         "ad_history": ad_history,
         "quant_state": quant_state,
-        "extra": extra,
+        "extra": None,  # unused; kept so format-1 bytes do not move
         "blobs": index,
     }
     payload = json.dumps(header).encode("utf-8")

@@ -12,7 +12,8 @@ is applied where assignments are made, so every reader of an assignment
 (the quantizer, energy reports, checkpoints and logs) sees the inherited
 values. ``build_quantizer`` turns an assignment into the quantizer's site
 table, where exempt layers have no site and each residual add's skip
-branch runs at its destination's width.
+branch runs at its destination's width. A ``ScheduleRun`` holds the
+schedule's whole state; ``run_schedule`` drives it epoch by epoch.
 """
 
 from __future__ import annotations
@@ -277,20 +278,24 @@ class ScheduleLog:
 
 
 @dataclass
-class ScheduleResult:
+class ScheduleRun:
+    """A schedule's whole state, as run_schedule returns it."""
     arch: NetworkArch
     state: engine.TrainState
     assignment: BitWidthAssignment
     prune_state: PruneState | None
     log: ScheduleLog
     ad_history: ADHistory
-    quantizer: NetworkQuantizer
+    quantizer: NetworkQuantizer | None = None  # the current phase's
+    trackers: dict = field(default_factory=dict)  # activation ranges
+    epoch: int = 0  # epochs trained so far
+    scores: dict = field(default_factory=dict)  # see _train_epoch
 
 
 def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
                  seed: int = 0, optim: engine.OptimConfig | None = None,
                  diagnostics_dir=None,
-                 iteration_callback=None) -> ScheduleResult:
+                 iteration_callback=None) -> ScheduleRun:
     """Execute the full quantization (and optional pruning) schedule.
 
     iteration_callback, when given, is invoked after each completed iteration
@@ -301,86 +306,80 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
     optim.validate()
     if config.remove_layers:
         arch = arch.drop_layers(config.remove_layers)
-
-    state = engine.init_state(arch, seed)
-    assignment = BitWidthAssignment.initial(arch, config.initial_bits)
-    prune_state = PruneState.initial(arch) if config.pruning_enabled else None
-    history = ADHistory()
-    log = ScheduleLog()
-    trackers = {}  # activation ranges, carried from phase to phase
-    epoch_global = 0
+    run = ScheduleRun(
+        arch, engine.init_state(arch, seed),
+        BitWidthAssignment.initial(arch, config.initial_bits),
+        PruneState.initial(arch) if config.pruning_enabled else None,
+        ScheduleLog(), ADHistory())
 
     for it in range(1, config.max_iters + 1):
-        quantizer = build_quantizer(arch, assignment, config, trackers)
-        iter_epochs = []
+        run.quantizer = build_quantizer(run.arch, run.assignment, config,
+                                        run.trackers)
+        start = run.epoch
         for _ in range(config.epoch_budget):
-            epoch_global += 1
-            loss, scores = _train_epoch(arch, state, quantizer, dataset,
-                                        config, optim, history, epoch_global,
-                                        diagnostics_dir, assignment,
-                                        prune_state)
-            acc = _test_accuracy(arch, state, dataset, quantizer)
-            log.epoch_accuracy.append((epoch_global, acc))
-            iter_epochs.append(epoch_global)
-            if history.is_saturated(config.saturation_epsilon,
-                                    config.saturation_window,
-                                    epochs=iter_epochs):
+            loss = _train_epoch(run, dataset, config, optim, diagnostics_dir)
+            if run.ad_history.is_saturated(
+                    config.saturation_epsilon, config.saturation_window,
+                    epochs=list(range(start + 1, run.epoch + 1))):
                 break
 
-        ad = {lid: history.layer_ad(lid, epoch_global)
-              for lid in main_chain_weighted_ids(arch)}
         record = IterationRecord(
-            iter=it, bits=dict(assignment.k),
-            channels=None if prune_state is None else dict(prune_state.channels),
-            epochs=len(iter_epochs),
-            network_ad=history.network_ad(epoch_global,
-                                          config.network_ad_mode),
-            test_accuracy=log.epoch_accuracy[-1][1],
+            iter=it, bits=dict(run.assignment.k),
+            channels=(None if run.prune_state is None
+                      else dict(run.prune_state.channels)),
+            epochs=run.epoch - start,
+            network_ad=run.ad_history.network_ad(run.epoch,
+                                                 config.network_ad_mode),
+            test_accuracy=run.log.epoch_accuracy[-1][1],
             train_loss=loss)
-        log.iterations.append(record)
+        run.log.iterations.append(record)
         if iteration_callback is not None:
-            iteration_callback(it, arch, state, assignment, prune_state,
-                               history, record)
-
-        new_assignment = update_bitwidths(assignment, ad)
-        new_assignment.k = inherit_from_destinations(arch, new_assignment.k)
-        new_prune = prune_state
-        if prune_state is not None:
-            new_prune = update_channels(prune_state, ad,
-                                        from_initial=config.prune_from_initial)
-            new_prune.channels = inherit_from_destinations(
-                arch, new_prune.channels)
-        bits_fixed = new_assignment.k == assignment.k
-        chans_fixed = prune_state is None or new_prune.channels == prune_state.channels
-        if bits_fixed and chans_fixed:
-            assignment = new_assignment
+            iteration_callback(it, run.arch, run.state, run.assignment,
+                               run.prune_state, run.ad_history, record)
+        if not _advance(run, config):
             break
-        if prune_state is not None and not chans_fixed:
-            # skip-path convs keep their destination's channels
-            kept = inherit_from_destinations(
-                arch, select_pruned_channels(new_prune, scores))
-            arch, state = rebuild_pruned(arch, state, new_prune, kept)
-            trackers = {}  # channel identities changed
-        assignment, prune_state = new_assignment, new_prune
 
     # final convergence phase at the fixed assignment
-    quantizer = build_quantizer(arch, assignment, config, trackers)
+    run.quantizer = build_quantizer(run.arch, run.assignment, config,
+                                    run.trackers)
     for _ in range(config.final_convergence_epochs):
-        epoch_global += 1
-        log.final_epochs += 1
-        _train_epoch(arch, state, quantizer, dataset, config, optim,
-                     history, epoch_global, diagnostics_dir,
-                     assignment, prune_state)
-        acc = _test_accuracy(arch, state, dataset, quantizer)
-        log.epoch_accuracy.append((epoch_global, acc))
+        run.log.final_epochs += 1
+        _train_epoch(run, dataset, config, optim, diagnostics_dir)
     # the last final epoch evaluated this state and quantizer already; with
     # no final epochs the assignment, and so the quantizer, changed since
     # the last evaluation
-    if not config.final_convergence_epochs:
-        acc = _test_accuracy(arch, state, dataset, quantizer)
-    log.final_accuracy = acc
-    return ScheduleResult(arch, state, assignment, prune_state, log, history,
-                          quantizer)
+    run.log.final_accuracy = (run.log.epoch_accuracy[-1][1]
+                              if config.final_convergence_epochs
+                              else _test_accuracy(run, dataset))
+    return run
+
+
+def _advance(run: ScheduleRun, config: ScheduleConfig) -> bool:
+    """Shrink the bit-widths, and when pruning the channel counts, by each
+    main-chain layer's AD in the last epoch; skip-path layers inherit their
+    destination's. Returns False at the fixed point, where nothing changed.
+    Otherwise moves run to the new assignment, first rebuilding the network
+    on the kept channels when the counts changed, and returns True."""
+    arch, prune = run.arch, run.prune_state
+    ad = {lid: run.ad_history.layer_ad(lid, run.epoch)
+          for lid in main_chain_weighted_ids(arch)}
+    assignment = update_bitwidths(run.assignment, ad)
+    assignment.k = inherit_from_destinations(arch, assignment.k)
+    if prune is not None:
+        prune = update_channels(prune, ad,
+                                from_initial=config.prune_from_initial)
+        prune.channels = inherit_from_destinations(arch, prune.channels)
+    chans_fixed = prune is None or prune.channels == run.prune_state.channels
+    if assignment.k == run.assignment.k and chans_fixed:
+        return False
+    if not chans_fixed:
+        # skip-path convs keep their destination's channels
+        kept = inherit_from_destinations(
+            arch, select_pruned_channels(prune, run.scores))
+        run.arch, run.state = rebuild_pruned(arch, run.state, prune, kept)
+        run.trackers = {}  # channel identities changed
+    run.assignment, run.prune_state = assignment, prune
+    return True
 
 
 def build_quantizer(arch: NetworkArch, assignment: BitWidthAssignment,
@@ -435,18 +434,21 @@ def _epoch_observer(arch: NetworkArch, history: ADHistory, epoch: int,
 _QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore"}
 
 
-def _test_accuracy(arch, state, dataset, quantizer) -> float:
+def _test_accuracy(run: ScheduleRun, dataset) -> float:
     with np.errstate(**_QUIET_OVERFLOW):
-        return engine.accuracy(arch, state, dataset.x_test, dataset.y_test,
-                               quantizer)
+        return engine.accuracy(run.arch, run.state, dataset.x_test,
+                               dataset.y_test, run.quantizer)
 
 
-def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
-                 epoch, diagnostics_dir, assignment, prune_state):
-    """Train one epoch, recording its AD into history. Returns the mean
-    loss and, when pruning, each conv's positive fraction per channel over
-    the epoch's observed activations ({} otherwise)."""
-    observe, counts = _epoch_observer(arch, history, epoch,
+def _train_epoch(run: ScheduleRun, dataset, config, optim,
+                 diagnostics_dir) -> float:
+    """Train run one more epoch and log its test accuracy. Records the
+    epoch's AD into run.ad_history and sets run.scores: when pruning, each
+    conv's positive fraction per channel over the epoch's observed
+    activations ({} otherwise). Returns the mean loss."""
+    epoch = run.epoch = run.epoch + 1
+    arch, state, quantizer = run.arch, run.state, run.quantizer
+    observe, counts = _epoch_observer(arch, run.ad_history, epoch,
                                       config.pruning_enabled)
     losses = []
     with np.errstate(**_QUIET_OVERFLOW):
@@ -460,17 +462,20 @@ def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
                 path = None
                 if diagnostics_dir is not None:
                     path = f"{diagnostics_dir}/diverged_epoch{epoch}.ckpt"
-                    save_schedule_checkpoint(path, arch, state, assignment,
-                                             prune_state, history)
+                    save_schedule_checkpoint(path, arch, state,
+                                             run.assignment, run.prune_state,
+                                             run.ad_history)
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}", checkpoint_path=path)
             grads, _ = engine.backward(arch, state, cache, lgrad)
             engine.optimizer_step(state, grads, optim)
             losses.append(loss)
+            del cache, grads  # free them before the next forward pass
         if config.strict_ad_pass:
             # dedicated full-train-set pass with the post-epoch model
             engine.eval_logits(arch, state, dataset.x_train, quantizer,
                                config.batch_size, observe)
     state.epoch = epoch
-    scores = {lid: pos / n for lid, (pos, n) in counts.items()}
-    return float(np.mean(losses)), scores
+    run.scores = {lid: pos / n for lid, (pos, n) in counts.items()}
+    run.log.epoch_accuracy.append((epoch, _test_accuracy(run, dataset)))
+    return float(np.mean(losses))

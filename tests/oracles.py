@@ -1,17 +1,18 @@
 """Independent reference implementations used as test oracles.
 
 Most of it shares no code with the package internals and is deliberately
-naive (nested loops, direct formulas). Six pieces are the package's former
+naive (nested loops, direct formulas). Seven pieces are the package's former
 code, kept as a bit-for-bit reference: the einsum convolution kernels; the
 quantizer and batchnorm forward that allocated a new array per operation;
 the pruning rebuild that mirrored skip-path convs onto their destinations
 and walked back from each linear layer to the flatten (it builds its result
 with the package's architecture and engine); the evaluation that ran the
-training forward batch by batch (``predict``, ``eval_logits``); and the
-graph walks that resolved skip connections and AD observation points per
-call (``skip_topology``, ``observation_points``); and the ``reproduce``
-tables that built each row's preset architecture for that row
-(``reproduce_table``).
+training forward batch by batch (``predict``, ``eval_logits``); the graph
+walks that resolved skip connections and AD observation points per call
+(``skip_topology``, ``observation_points``); the ``reproduce`` tables that
+built each row's preset architecture for that row (``reproduce_table``);
+and the schedule loop that kept its state in locals
+(``former_run_schedule``).
 """
 
 from dataclasses import replace
@@ -19,16 +20,24 @@ from dataclasses import replace
 import numpy as np
 
 from adq import reproduce as R
+from adq.admon import ADHistory
 from adq.energy import (analytical_network_energy, pim_network_energy,
                         training_complexity)
-from adq.errors import ConfigurationError, InputError
+from adq.errors import ConfigurationError, InputError, TrainingDiverged
 from adq.nn import engine
-from adq.nn.arch import KINDS, NetworkArch
+from adq.nn.arch import (KINDS, NetworkArch, inherit_from_destinations,
+                         main_chain_weighted_ids)
+from adq.nn.data import iter_batches
 from adq.nn.engine import forward
 from adq.nn.layers import BN_EPS
 from adq.presets import BASELINE_EPOCH_TOTALS, get_preset
 from adq.quant import QuantParams
-from adq.scheduler import PruneState
+from adq.scheduler import (_QUIET_OVERFLOW, BitWidthAssignment,
+                           IterationRecord, PruneState, ScheduleConfig,
+                           ScheduleLog, ScheduleRun, _epoch_observer,
+                           build_quantizer, rebuild_pruned,
+                           save_schedule_checkpoint, select_pruned_channels,
+                           update_bitwidths, update_channels)
 
 
 def naive_conv2d(x, w, b, stride=1, padding=0):
@@ -549,3 +558,148 @@ def reproduce_table(table_id) -> list:
             cells.append(R.Cell("5", row, "energy_reduction", rep.efficiency,
                                 pub_red, R.PIM_PRUNED_TOL))
     return cells
+
+
+# ------------------------------------------------------- former schedule
+# The package's former ``run_schedule`` (renamed ``former_run_schedule``),
+# ``_test_accuracy`` and ``_train_epoch`` verbatim: the schedule's state in
+# locals, and the epoch body written out in both loops. It returns the
+# package's ``ScheduleRun``, whose first seven fields are the former
+# ``ScheduleResult``'s.
+
+def former_run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
+                        seed: int = 0,
+                        optim: engine.OptimConfig | None = None,
+                        diagnostics_dir=None,
+                        iteration_callback=None) -> ScheduleRun:
+    """Execute the full quantization (and optional pruning) schedule.
+
+    iteration_callback, when given, is invoked after each completed iteration
+    as callback(iter, arch, state, assignment, prune_state, history, record).
+    """
+    config.validate()
+    optim = optim or engine.OptimConfig()
+    optim.validate()
+    if config.remove_layers:
+        arch = arch.drop_layers(config.remove_layers)
+
+    state = engine.init_state(arch, seed)
+    assignment = BitWidthAssignment.initial(arch, config.initial_bits)
+    prune_state = PruneState.initial(arch) if config.pruning_enabled else None
+    history = ADHistory()
+    log = ScheduleLog()
+    trackers = {}  # activation ranges, carried from phase to phase
+    epoch_global = 0
+
+    for it in range(1, config.max_iters + 1):
+        quantizer = build_quantizer(arch, assignment, config, trackers)
+        iter_epochs = []
+        for _ in range(config.epoch_budget):
+            epoch_global += 1
+            loss, scores = _train_epoch(arch, state, quantizer, dataset,
+                                        config, optim, history, epoch_global,
+                                        diagnostics_dir, assignment,
+                                        prune_state)
+            acc = _test_accuracy(arch, state, dataset, quantizer)
+            log.epoch_accuracy.append((epoch_global, acc))
+            iter_epochs.append(epoch_global)
+            if history.is_saturated(config.saturation_epsilon,
+                                    config.saturation_window,
+                                    epochs=iter_epochs):
+                break
+
+        ad = {lid: history.layer_ad(lid, epoch_global)
+              for lid in main_chain_weighted_ids(arch)}
+        record = IterationRecord(
+            iter=it, bits=dict(assignment.k),
+            channels=None if prune_state is None else dict(prune_state.channels),
+            epochs=len(iter_epochs),
+            network_ad=history.network_ad(epoch_global,
+                                          config.network_ad_mode),
+            test_accuracy=log.epoch_accuracy[-1][1],
+            train_loss=loss)
+        log.iterations.append(record)
+        if iteration_callback is not None:
+            iteration_callback(it, arch, state, assignment, prune_state,
+                               history, record)
+
+        new_assignment = update_bitwidths(assignment, ad)
+        new_assignment.k = inherit_from_destinations(arch, new_assignment.k)
+        new_prune = prune_state
+        if prune_state is not None:
+            new_prune = update_channels(prune_state, ad,
+                                        from_initial=config.prune_from_initial)
+            new_prune.channels = inherit_from_destinations(
+                arch, new_prune.channels)
+        bits_fixed = new_assignment.k == assignment.k
+        chans_fixed = prune_state is None or new_prune.channels == prune_state.channels
+        if bits_fixed and chans_fixed:
+            assignment = new_assignment
+            break
+        if prune_state is not None and not chans_fixed:
+            # skip-path convs keep their destination's channels
+            kept = inherit_from_destinations(
+                arch, select_pruned_channels(new_prune, scores))
+            arch, state = rebuild_pruned(arch, state, new_prune, kept)
+            trackers = {}  # channel identities changed
+        assignment, prune_state = new_assignment, new_prune
+
+    # final convergence phase at the fixed assignment
+    quantizer = build_quantizer(arch, assignment, config, trackers)
+    for _ in range(config.final_convergence_epochs):
+        epoch_global += 1
+        log.final_epochs += 1
+        _train_epoch(arch, state, quantizer, dataset, config, optim,
+                     history, epoch_global, diagnostics_dir,
+                     assignment, prune_state)
+        acc = _test_accuracy(arch, state, dataset, quantizer)
+        log.epoch_accuracy.append((epoch_global, acc))
+    # the last final epoch evaluated this state and quantizer already; with
+    # no final epochs the assignment, and so the quantizer, changed since
+    # the last evaluation
+    if not config.final_convergence_epochs:
+        acc = _test_accuracy(arch, state, dataset, quantizer)
+    log.final_accuracy = acc
+    return ScheduleRun(arch, state, assignment, prune_state, log, history,
+                       quantizer)
+
+
+def _test_accuracy(arch, state, dataset, quantizer) -> float:
+    with np.errstate(**_QUIET_OVERFLOW):
+        return engine.accuracy(arch, state, dataset.x_test, dataset.y_test,
+                               quantizer)
+
+
+def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
+                 epoch, diagnostics_dir, assignment, prune_state):
+    """Train one epoch, recording its AD into history. Returns the mean
+    loss and, when pruning, each conv's positive fraction per channel over
+    the epoch's observed activations ({} otherwise)."""
+    observe, counts = _epoch_observer(arch, history, epoch,
+                                      config.pruning_enabled)
+    losses = []
+    with np.errstate(**_QUIET_OVERFLOW):
+        for bx, by in iter_batches(dataset.x_train, dataset.y_train,
+                                   config.batch_size, state.rng):
+            logits, cache = engine.forward(
+                arch, state, bx, None if config.strict_ad_pass else observe,
+                quantizer=quantizer, training=True)
+            loss, lgrad = engine.loss_softmax_xent(logits, by)
+            if not np.isfinite(loss):
+                path = None
+                if diagnostics_dir is not None:
+                    path = f"{diagnostics_dir}/diverged_epoch{epoch}.ckpt"
+                    save_schedule_checkpoint(path, arch, state, assignment,
+                                             prune_state, history)
+                raise TrainingDiverged(
+                    f"non-finite loss at epoch {epoch}", checkpoint_path=path)
+            grads, _ = engine.backward(arch, state, cache, lgrad)
+            engine.optimizer_step(state, grads, optim)
+            losses.append(loss)
+        if config.strict_ad_pass:
+            # dedicated full-train-set pass with the post-epoch model
+            engine.eval_logits(arch, state, dataset.x_train, quantizer,
+                               config.batch_size, observe)
+    state.epoch = epoch
+    scores = {lid: pos / n for lid, (pos, n) in counts.items()}
+    return float(np.mean(losses)), scores

@@ -321,3 +321,34 @@ class TestPlotdata:
 
     def test_missing_artifacts_nonzero_exit(self, tmp_path):
         assert main(["plotdata", "--run", str(tmp_path)]) == 1
+
+    @staticmethod
+    def _corrupt_run(tmp_path, name, edit):
+        """A trained run whose artifact name is replaced by edit(its text)."""
+        cfg_path, outdir = _write_config(tmp_path)
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        path = os.path.join(outdir, name)
+        with open(path) as f:
+            text = f.read()
+        with open(path, "w") as f:
+            f.write(edit(text))
+        return outdir
+
+    @pytest.mark.parametrize("name, edit", [
+        ("schedule_log.json", lambda text: text[:len(text) // 2]),
+        ("ad_history.csv",
+         lambda text: text.replace("layer_id,", "layer,", 1)),
+        ("schedule_log.json",
+         lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                  if k != "epoch_accuracy"})),
+    ], ids=["truncated-log", "no-layer-id-column", "no-epoch-accuracy"])
+    def test_corrupt_artifact_is_an_input_error(self, tmp_path, capsys, name,
+                                                edit):
+        outdir = self._corrupt_run(tmp_path, name, edit)
+        capsys.readouterr()
+        assert main(["plotdata", "--run", outdir]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert name in err[0]
+        for out in ("ad_vs_epoch.csv", "accuracy_vs_epoch.csv"):
+            assert not os.path.exists(os.path.join(outdir, out))
