@@ -6,8 +6,9 @@
     adq reproduce --table {1|2|4|5}
     adq plotdata --run DIR
 
-Exit codes: 0 success, 1 usage/config error, 2 reproduction-tolerance
-failure, 3 runtime failure.
+Exit codes: 0 success, 1 usage/config/input error (a bad command line or a
+corrupt input file included), 2 reproduction-tolerance failure, 3 runtime
+failure.
 """
 
 from __future__ import annotations
@@ -60,7 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (0) or the usage and an error (2)
+        return EXIT_OK if exc.code == EXIT_OK else EXIT_USAGE
     try:
         if args.command == "train":
             return cmd_train(args)
@@ -181,10 +186,10 @@ def cmd_energy(args) -> int:
         arch, _state, header = load_checkpoint(args.checkpoint)
         if not header.get("bits"):
             raise InputError("checkpoint carries no bit-width assignment")
-        bits = {int(k): v for k, v in header["bits"].items()}
+        bits = _layer_map(header, "bits", args.checkpoint)
         channels = None
         if header.get("channels"):
-            channels = {int(k): v for k, v in header["channels"].items()}
+            channels = _layer_map(header, "channels", args.checkpoint)
         baseline_bits = 16
         label = os.path.basename(args.checkpoint)
 
@@ -201,6 +206,19 @@ def cmd_energy(args) -> int:
         rep.to_csv(base + ".csv")
         print(f"  report files:    {base}.json / .csv")
     return EXIT_OK
+
+
+def _layer_map(header, key, path) -> dict:
+    """header[key], a JSON object of layer id -> integer, with int keys."""
+    value = header[key]
+    try:
+        if isinstance(value, dict) and all(
+                type(v) is int for v in value.values()):
+            return {int(k): v for k, v in value.items()}
+    except ValueError:  # a key that is not an integer
+        pass
+    raise InputError(f"checkpoint {path!r}: {key} must be an object of "
+                     "layer id -> integer")
 
 
 # ------------------------------------------------------------------ reproduce

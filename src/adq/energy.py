@@ -82,8 +82,12 @@ def layer_shapes(arch: NetworkArch, channels=None) -> list[LayerShape]:
     `channels` optionally overrides conv output channel counts
     ({layer_id: count}); input channel counts and downstream feature sizes
     follow (see NetworkArch.infer_shapes), so pruned models are costed at
-    their pruned shapes.
+    their pruned shapes. The unpruned list is resolved once per architecture
+    and kept on it; each call returns a fresh list, and each pruned call
+    walks the network again.
     """
+    if channels is None and arch._layer_shapes is not None:
+        return list(arch._layer_shapes)
     shapes = arch.infer_shapes(channels)
     out = []
     for spec in arch.layers:
@@ -96,6 +100,8 @@ def layer_shapes(arch: NetworkArch, channels=None) -> list[LayerShape]:
             (i,) = shapes[arch.input_ids(spec.id)[0]]
             (o,) = shapes[spec.id]
             out.append(LayerShape(spec.id, "linear", n=1, m=1, p=1, i=i, o=o))
+    if channels is None:
+        arch._layer_shapes = tuple(out)
     return out
 
 

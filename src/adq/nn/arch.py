@@ -248,6 +248,11 @@ class NetworkArch:
                                  compare=False)
     _skips: dict | None = field(default=None, init=False, repr=False,
                                 compare=False)
+    # energy.layer_shapes(arch) and main_chain_weighted_ids(arch), unpruned
+    _layer_shapes: tuple | None = field(default=None, init=False, repr=False,
+                                        compare=False)
+    _main_chain: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         self.input_shape = tuple(self.input_shape)
@@ -440,7 +445,11 @@ def inherit_from_destinations(arch: NetworkArch, values: dict) -> dict:
 
 def main_chain_weighted_ids(arch: NetworkArch) -> list[int]:
     """Weighted layers excluding those on skip paths (which carry no
-    densities of their own)."""
-    on_skip = {cid for t in skip_topology(arch).values()
-               for cid in t["skip_convs"]}
-    return [i for i in arch.weighted_ids() if i not in on_skip]
+    densities of their own). Resolved once per architecture and kept on it;
+    each call returns a fresh list."""
+    if arch._main_chain is None:
+        on_skip = {cid for t in skip_topology(arch).values()
+                   for cid in t["skip_convs"]}
+        arch._main_chain = tuple(
+            i for i in arch.weighted_ids() if i not in on_skip)
+    return list(arch._main_chain)

@@ -10,11 +10,12 @@ state, so a round trip restores training bit-for-bit.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
-from adq.errors import InputError
+from adq.errors import ConfigurationError, InputError
 from adq.nn.arch import NetworkArch
 from adq.nn.engine import TrainState
 
@@ -68,26 +69,61 @@ def save_checkpoint(path, arch: NetworkArch, state: TrainState, *,
 
 
 def load_checkpoint(path):
-    """Returns (arch, state, header) with arrays restored bit-identically."""
-    with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise InputError(f"{path!r} is not a checkpoint file")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        body = f.read()
-    arch = NetworkArch.from_dict(header["arch"])
+    """Returns (arch, state, header) with arrays restored bit-identically.
+
+    Raises InputError naming the file when it cannot be read or is not a
+    whole format-1 checkpoint: a short magic or length field, a header that
+    is not a UTF-8 JSON object or lacks a key read here, or a blob whose
+    index lies outside the body or disagrees with its shape.
+    """
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:
+        raise InputError(f"cannot read checkpoint {path!r}: "
+                         f"{exc.strerror or exc}") from None
+    if data[:len(MAGIC)] != MAGIC:
+        raise InputError(f"{path!r} is not a checkpoint file")
+
+    def corrupt(why):
+        return InputError(f"checkpoint {path!r} is corrupt or truncated: {why}")
+
+    start = len(MAGIC) + 4
+    if len(data) < start:
+        raise corrupt("no header length")
+    (hlen,) = struct.unpack_from("<I", data, len(MAGIC))
+    if len(data) < start + hlen:
+        raise corrupt(f"header of {hlen} bytes runs past the end of the file")
+    try:
+        header = json.loads(data[start:start + hlen].decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError included
+        raise corrupt("header is not UTF-8 JSON") from None
+    if not isinstance(header, dict):
+        raise corrupt("header is not a JSON object")
+    body = memoryview(data)[start + hlen:]
     weights, m, v = {}, {}, {}
     stores = {"weights": weights, "m": m, "v": v}
-    for ent in header["blobs"]:
-        arr = np.frombuffer(
-            body, dtype="<f8", count=int(np.prod(ent["shape"], dtype=int)),
-            offset=ent["offset"]).reshape(ent["shape"]).copy()
-        stores[ent["group"]].setdefault(ent["layer"], {})[ent["name"]] = arr
-    rng = _decode_rng(header["rng_state"], header["rng_seed"])
-    state = TrainState(weights=weights, m=m, v=v, step=header["step"],
-                       epoch=header["epoch"], rng_seed=header["rng_seed"],
-                       rng=rng)
+    try:
+        arch = NetworkArch.from_dict(header["arch"])
+        for ent in header["blobs"]:
+            group, lid, name = ent["group"], ent["layer"], ent["name"]
+            shape, offset, nbytes = ent["shape"], ent["offset"], ent["nbytes"]
+            count = math.prod(shape)
+            if (not 0 <= offset <= offset + nbytes <= len(body)
+                    or nbytes != 8 * count):
+                raise corrupt(f"blob {group}/{lid}/{name} indexes bytes "
+                              f"{offset}+{nbytes} of a {len(body)}-byte body "
+                              f"for shape {shape}")
+            arr = np.frombuffer(body, dtype="<f8", count=count,
+                                offset=offset).reshape(shape).copy()
+            stores[group].setdefault(lid, {})[name] = arr
+        rng = _decode_rng(header["rng_state"], header["rng_seed"])
+        state = TrainState(weights=weights, m=m, v=v, step=header["step"],
+                           epoch=header["epoch"], rng_seed=header["rng_seed"],
+                           rng=rng)
+    # a missing key or a value of the wrong type or range
+    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
+        raise corrupt(repr(exc)) from None
     return arch, state, header
 
 

@@ -9,7 +9,10 @@ import pytest
 
 from adq.cli import main
 from adq.energy import analytical_network_energy, pim_network_energy
-from adq.presets import get_preset, preset_names
+from adq.errors import InputError
+from adq.nn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from adq.nn.engine import init_state
+from adq.presets import build_toy_cnn, get_preset, preset_names
 
 TOY_CONFIG = {
     "seed": 7,
@@ -273,6 +276,95 @@ class TestEnergy:
         ckpt = os.path.join(outdir, "checkpoint_final.ckpt")
         assert main(["energy", "--checkpoint", ckpt, "--model", "pim"]) == 0
         assert "efficiency" in capsys.readouterr().out
+
+
+def _small_checkpoint(path, **header):
+    """A two-channel toy network saved with 8-bit weighted layers; `header`
+    overrides save_checkpoint's keyword arguments."""
+    arch = build_toy_cnn(widths=(2, 2, 2, 2))
+    header.setdefault("bits", {str(i): 8 for i in arch.weighted_ids()})
+    save_checkpoint(path, arch, init_state(arch, 0), **header)
+    return path.read_bytes()
+
+
+class TestCorruptCheckpoint:
+    def test_every_truncation_is_an_input_error(self, tmp_path):
+        data = _small_checkpoint(tmp_path / "whole.ckpt")
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(InputError, match="cut.ckpt"):
+                load_checkpoint(cut)
+
+    @pytest.mark.parametrize("where", [
+        "empty", "short-magic", "short-length", "cut-header", "no-body",
+        "cut-last-blob"])
+    def test_energy_on_a_truncated_checkpoint_exits_1(self, tmp_path, capsys,
+                                                      where):
+        data = _small_checkpoint(tmp_path / "whole.ckpt")
+        body = len(MAGIC) + 4 + int.from_bytes(data[8:12], "little")
+        n = {"empty": 0, "short-magic": 4, "short-length": len(MAGIC) + 2,
+             "cut-header": 100, "no-body": body,
+             "cut-last-blob": len(data) - 1}[where]
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(data[:n])
+        assert main(["energy", "--checkpoint", str(cut), "--model",
+                     "pim"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "cut.ckpt" in err[0]
+
+    def test_missing_checkpoint_exits_1(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.ckpt")
+        assert main(["energy", "--checkpoint", path, "--model", "pim"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "absent.ckpt" in err[0]
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.update(blobs=h["blobs"][:1] + [dict(
+            h["blobs"][1], shape=[h["blobs"][1]["shape"][0] + 1])]),
+        lambda h: h["blobs"][0].update(offset=-8),
+        lambda h: h.pop("rng_state"),
+        lambda h: h["arch"].update(layers="none"),
+    ], ids=["shape-disagrees", "before-the-body", "no-rng-state",
+            "bad-arch"])
+    def test_edited_header_is_an_input_error(self, tmp_path, edit):
+        data = _small_checkpoint(tmp_path / "whole.ckpt")
+        hlen = int.from_bytes(data[8:12], "little")
+        header = json.loads(data[12:12 + hlen])
+        edit(header)
+        raw = json.dumps(header).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(MAGIC + len(raw).to_bytes(4, "little") + raw
+                        + data[12 + hlen:])
+        with pytest.raises(InputError, match="bad.ckpt"):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("header", [
+        {"bits": [8, 8]}, {"bits": {"first": 8}}, {"bits": {"0": "8"}},
+        {"channels": {"0": 2.5}}, {"channels": ["2"]}])
+    def test_bad_bits_or_channels_exit_1(self, tmp_path, capsys, header):
+        path = tmp_path / "odd.ckpt"
+        _small_checkpoint(path, **header)
+        assert main(["energy", "--checkpoint", str(path), "--model",
+                     "pim"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "--table", "3"], ["bogus"], []],
+        ids=["bad-table", "unknown-command", "no-command"])
+    def test_usage_errors_exit_1(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: adq") and "error: " in err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: adq")
 
 
 class TestReproduce:

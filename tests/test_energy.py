@@ -16,9 +16,9 @@ from adq.energy import (ADD32_PJ, MEM_PJ_PER_BIT, MULT32_PJ, EnergyReport,
                         mem_accesses, pim_network_energy, pim_round_bits,
                         training_complexity)
 from adq.errors import InputError
-from adq.nn.arch import NetworkArch
-from adq.presets import build_toy_cnn, build_vgg19
-from adq.presets import PRESETS
+from adq.nn.arch import NetworkArch, main_chain_weighted_ids
+from adq.presets import build_resnet18, build_toy_cnn, build_vgg19
+from adq.presets import PRESETS, channel_map
 from adq.scheduler import BitWidthAssignment
 
 
@@ -319,3 +319,92 @@ class TestReportJson:
         pruned = pim_network_energy(arch, bits, p.channel_assignment(arch))
         assert len(calls) == 3  # its own shapes, then the baseline's
         assert unpruned.baseline_total_pj == pruned.baseline_total_pj
+
+
+def _preset_channels(p, arch):
+    """The preset's channel counts, or every main-chain conv at half its
+    width, so that each preset also has a pruned configuration."""
+    return p.channel_assignment(arch) or channel_map(arch, [
+        max(1, arch.layer(i).out_channels // 2)
+        for i in main_chain_weighted_ids(arch)
+        if arch.layer(i).kind == "conv2d"])
+
+
+def _report_text(p, model, arch, pruned):
+    """A preset's report as its JSON and CSV text, or the InputError's
+    message when the model cannot cost it."""
+    bits = p.bit_assignment(arch)
+    channels = _preset_channels(p, arch) if pruned else None
+    try:
+        if model == "pim":
+            rep = pim_network_energy(arch, bits, channels)
+        else:
+            rep = analytical_network_energy(arch, bits, channels,
+                                            baseline_bits=p.baseline_bits)
+    except InputError as exc:
+        return str(exc)
+    return rep.to_json() + rep.to_csv()
+
+
+class TestResolvedOncePerArch:
+    """layer_shapes(arch) and main_chain_weighted_ids(arch) are kept on the
+    architecture after their first call."""
+
+    @pytest.mark.parametrize("pruned_first", [False, True])
+    @pytest.mark.parametrize("model", ["analytical", "pim"])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_reused_arch_reports_match_fresh_ones(self, name, model,
+                                                  pruned_first):
+        p = PRESETS[name]
+        reused = p.build_arch()
+        order = (True, False) if pruned_first else (False, True)
+        for pruned in order * 2:
+            assert (_report_text(p, model, reused, pruned)
+                    == _report_text(p, model, p.build_arch(), pruned))
+
+    @pytest.mark.parametrize("build", [build_vgg19, build_resnet18])
+    def test_editing_a_returned_list_changes_no_later_result(self, build):
+        arch = build()
+        bits = {i: 8 for i in arch.weighted_ids()}
+        shapes = layer_shapes(arch)
+        main = main_chain_weighted_ids(arch)
+        want = (list(shapes), list(main),
+                pim_network_energy(arch, bits).to_json())
+        shapes.reverse()
+        shapes.append(shp())
+        main.pop()
+        main.append(-5)
+        for _ in range(2):
+            assert layer_shapes(arch) == want[0]
+            assert main_chain_weighted_ids(arch) == want[1]
+            assert pim_network_energy(arch, bits).to_json() == want[2]
+        fresh = build()
+        assert layer_shapes(fresh) == want[0]
+        assert main_chain_weighted_ids(fresh) == want[1]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_only_pruned_reports_walk_the_network(self, monkeypatch, k):
+        p = PRESETS["resnet18-cifar100-prune-iter3"]
+        arch = p.build_arch()  # validation walks it once
+        bits = p.bit_assignment(arch)
+        channels = p.channel_assignment(arch)
+        walks, kept = [], []
+        real = NetworkArch.infer_shapes
+
+        def counting(self, channels=None):
+            # a call walks unless it returns the shapes kept at validation
+            if channels is None and self._shapes is not None:
+                kept.append(self)
+            else:
+                walks.append(channels)
+            return real(self, channels)
+
+        monkeypatch.setattr(NetworkArch, "infer_shapes", counting)
+        for _ in range(3):
+            pim_network_energy(arch, bits)
+            analytical_network_energy(arch, bits)
+        assert walks == [] and len(kept) <= 1
+        for _ in range(k):
+            pim_network_energy(arch, bits, channels)
+        assert walks == [channels] * k
+        assert len(kept) <= 1
