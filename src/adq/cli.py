@@ -97,7 +97,7 @@ def cmd_train(args) -> int:
     arch = cfg.resolve_arch()
     dataset = cfg.resolve_dataset()
     outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
+    _make_dir(outdir)
 
     energy_rows = []
 
@@ -108,8 +108,8 @@ def cmd_train(args) -> int:
             it_state, assignment, prune_state, history)
         for model in _models(cfg.energy_model):  # against uniform 16-bit
             rep = _energy_report(model, it_arch, assignment, prune_state, 16)
-            rep.to_json(os.path.join(outdir, f"energy_iter{it}_{model}.json"))
-            rep.to_csv(os.path.join(outdir, f"energy_iter{it}_{model}.csv"))
+            _write_report(rep,
+                          os.path.join(outdir, f"energy_iter{it}_{model}"))
             energy_rows.append((it, model, rep.efficiency))
 
     result = run_schedule(arch, dataset, cfg.schedule, seed=cfg.seed,
@@ -148,6 +148,27 @@ def _energy_report(model, arch, assignment, prune_state, baseline_bits):
         return energy_mod.pim_network_energy(arch, assignment, prune_state)
     return energy_mod.analytical_network_energy(
         arch, assignment, prune_state, baseline_bits=baseline_bits)
+
+
+def _make_dir(path):
+    """os.makedirs(path, exist_ok=True), with a failure as an InputError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {path!r}: "
+                         f"{exc.strerror or exc}") from None
+
+
+def _write_report(rep, base):
+    """Write `rep` to base.json and base.csv, with a failure as an
+    InputError."""
+    for path, write in ((base + ".json", rep.to_json),
+                        (base + ".csv", rep.to_csv)):
+        try:
+            write(path)
+        except OSError as exc:
+            raise InputError(f"cannot write report {path!r}: "
+                             f"{exc.strerror or exc}") from None
 
 
 def _write_log_csv(path, result):
@@ -194,16 +215,16 @@ def cmd_energy(args) -> int:
         label = os.path.basename(args.checkpoint)
 
     rep = _energy_report(args.model, arch, bits, channels, baseline_bits)
+    if args.out:
+        _make_dir(args.out)
     print(f"{label} [{args.model}]")
     print(f"  total energy:    {rep.total_uj:.6g} uJ")
     print(f"  baseline energy: {rep.baseline_total_pj / 1e6:.6g} uJ "
           f"(uniform {rep.baseline_bits}-bit)")
     print(f"  efficiency:      {rep.efficiency:.4g}x")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         base = os.path.join(args.out, f"energy_{label}_{args.model}")
-        rep.to_json(base + ".json")
-        rep.to_csv(base + ".csv")
+        _write_report(rep, base)
         print(f"  report files:    {base}.json / .csv")
     return EXIT_OK
 

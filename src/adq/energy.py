@@ -23,6 +23,7 @@ import functools
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 from adq.errors import ConfigurationError, InputError
 from adq.nn.arch import NetworkArch
@@ -61,10 +62,15 @@ def mac_count(shape: LayerShape) -> int:
 
 def analytical_layer_energy(shape: LayerShape, k: int) -> float:
     """Layer energy in pJ at bit-width k (1..32)."""
+    return _analytical_pj(mem_accesses(shape), mac_count(shape), k)
+
+
+def _analytical_pj(n_mem: int, n_mac: int, k: int) -> float:
+    """N_Mem * E_Mem|k + N_MAC * E_MAC|k in pJ at bit-width k (1..32)."""
     if not (1 <= k <= 32):
         raise InputError(f"bit-width {k} outside [1, 32]")
-    return (mem_accesses(shape) * (MEM_PJ_PER_BIT * k)
-            + mac_count(shape) * (MULT32_PJ * k / 32.0 + ADD32_PJ))
+    return (n_mem * (MEM_PJ_PER_BIT * k)
+            + n_mac * (MULT32_PJ * k / 32.0 + ADD32_PJ))
 
 
 def pim_round_bits(k: int) -> int:
@@ -141,15 +147,17 @@ class EnergyReport:
         return efficiency_ratio_values(self.baseline_total_pj, self.total_pj)
 
     def to_dict(self) -> dict:
+        total = self.total_pj
         return {
             "model": self.model,
             "baseline_bits": self.baseline_bits,
             "layers": [vars(r) for r in self.rows],
-            "total_pj": self.total_pj,
-            "total_uj": self.total_uj,
+            "total_pj": total,
+            "total_uj": total / 1e6,
             "baseline_total_pj": self.baseline_total_pj,
             "baseline_total_uj": self.baseline_total_pj / 1e6,
-            "efficiency_ratio": self.efficiency,
+            "efficiency_ratio": efficiency_ratio_values(
+                self.baseline_total_pj, total),
         }
 
     def to_json(self, path=None) -> str:
@@ -200,8 +208,10 @@ def _is_flat(values) -> bool:
 def _indent2(obj, depth: int = 0) -> str:
     """``json.dumps(obj, indent=2)`` for str-keyed JSON data. The indenting
     encoder is pure Python; here the C encoder writes each container that
-    holds no container in one call, and a list of such dicts (a report's
-    rows) in one call for the whole list."""
+    holds no container in one call, each run of consecutive scalar items of
+    any other dict in one call, and a list of flat dicts (a report's rows)
+    in one call for the whole list, found flat by one type scan over all
+    their values."""
     if not isinstance(obj, _CONTAINERS) or not obj:
         return _encoder(0).encode(obj)  # a scalar, {} or []
     pad = "\n" + "  " * depth
@@ -210,10 +220,20 @@ def _indent2(obj, depth: int = 0) -> str:
     if _is_flat(obj.values() if is_dict else obj):
         body = _encoder(depth + 1).encode(obj)[1:-1]
     elif is_dict:
-        body = ("," + inner).join(
-            _encoder(0).encode(k) + ": " + _indent2(v, depth + 1)
-            for k, v in obj.items())
-    elif all(isinstance(v, dict) and v and _is_flat(v.values()) for v in obj):
+        parts, run = [], {}
+        for k, v in obj.items():
+            if type(v) in _SCALARS:
+                run[k] = v
+                continue
+            if run:
+                parts.append(_encoder(depth + 1).encode(run)[1:-1])
+                run = {}
+            parts.append(_encoder(0).encode(k) + ": " + _indent2(v, depth + 1))
+        if run:
+            parts.append(_encoder(depth + 1).encode(run)[1:-1])
+        body = ("," + inner).join(parts)
+    elif (all(isinstance(v, dict) and v for v in obj)
+          and _is_flat(chain.from_iterable(map(dict.values, obj)))):
         # the encoder writes "},<separator>{" between two rows and nowhere
         # else, since an encoded string holds no raw newline
         row_pad = inner + "  "
@@ -239,45 +259,54 @@ def _resolve_bits(shapes, assignment):
 
 def _network_energy(model, arch, assignment, prune_state, baseline_bits,
                     cost) -> EnergyReport:
-    """Report with one row per weighted layer; cost(shape, k) returns
-    (the PIM precision or None, energy in pJ). The baseline is uniform
-    `baseline_bits`, unpruned, over the same layer set."""
+    """Report with one row per weighted layer; cost(n_mem, n_mac, k) returns
+    (the PIM precision or None, energy in pJ), and each row's counts are
+    computed once. The baseline is uniform `baseline_bits`, unpruned, over
+    the same layer set. Its total depends on the architecture alone, so it
+    is costed on first use and kept on the arch by (model, baseline_bits)."""
     channels = getattr(prune_state, "channels", prune_state)
     shapes = layer_shapes(arch, channels)
     bits = _resolve_bits(shapes, assignment)
-    report = EnergyReport(model=model, baseline_bits=baseline_bits)
+    rows = []
     for s in shapes:
         k = bits[s.layer_id]
-        pim_k, energy_pj = cost(s, k)
-        report.rows.append(LayerEnergy(
-            layer_id=s.layer_id, kind=s.kind, k=k, pim_k=pim_k,
-            in_channels=s.i, out_channels=s.o,
-            n_mem=mem_accesses(s), n_mac=mac_count(s),
-            energy_pj=energy_pj, binary_flag=(k == 1)))
-    # an unpruned report is costed at the baseline's own shapes
-    base_shapes = shapes if channels is None else layer_shapes(arch)
-    report.baseline_total_pj = sum(
-        cost(s, baseline_bits)[1] for s in base_shapes)
-    return report
+        n_mem, n_mac = mem_accesses(s), mac_count(s)
+        pim_k, energy_pj = cost(n_mem, n_mac, k)
+        rows.append(LayerEnergy(s.layer_id, s.kind, k, pim_k, s.i, s.o,
+                                n_mem, n_mac, energy_pj, k == 1))
+    key = (model, baseline_bits)
+    baseline_pj = arch._baseline_pj.get(key)
+    if baseline_pj is None:
+        # an unpruned report is costed at the baseline's own shapes
+        base_shapes = shapes if channels is None else layer_shapes(arch)
+        baseline_pj = arch._baseline_pj[key] = sum(
+            cost(mem_accesses(s), mac_count(s), baseline_bits)[1]
+            for s in base_shapes)
+    return EnergyReport(model, rows, baseline_pj, baseline_bits)
+
+
+def _pim_cost(n_mem, n_mac, k):
+    pk = pim_round_bits(k)
+    return pk, n_mac * PIM_MAC_FJ[pk] / 1e3  # fJ -> pJ
+
+
+def _analytical_cost(n_mem, n_mac, k):
+    return None, _analytical_pj(n_mem, n_mac, k)
 
 
 def pim_network_energy(arch: NetworkArch, assignment,
                        prune_state=None) -> EnergyReport:
     """MAC-only PIM energy report; baseline is uniform 16-bit, unpruned."""
-    def cost(s, k):
-        pk = pim_round_bits(k)
-        return pk, mac_count(s) * PIM_MAC_FJ[pk] / 1e3  # fJ -> pJ
-    return _network_energy("pim", arch, assignment, prune_state, 16, cost)
+    return _network_energy("pim", arch, assignment, prune_state, 16,
+                           _pim_cost)
 
 
 def analytical_network_energy(arch: NetworkArch, assignment, prune_state=None,
                               baseline_bits: int = 16) -> EnergyReport:
     """MAC + memory-access energy report; baseline is uniform `baseline_bits`,
     unpruned, over the same layer set."""
-    def cost(s, k):
-        return None, analytical_layer_energy(s, k)
     return _network_energy("analytical", arch, assignment, prune_state,
-                           baseline_bits, cost)
+                           baseline_bits, _analytical_cost)
 
 
 def efficiency_ratio_values(baseline_total: float, total: float) -> float:

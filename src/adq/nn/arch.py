@@ -253,6 +253,10 @@ class NetworkArch:
                                         compare=False)
     _main_chain: tuple | None = field(default=None, init=False, repr=False,
                                       compare=False)
+    # energy's uniform-baseline report totals in pJ, keyed by
+    # (model, baseline_bits): each is costed once per arch, on first use
+    _baseline_pj: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         self.input_shape = tuple(self.input_shape)

@@ -1,7 +1,7 @@
 """Independent reference implementations used as test oracles.
 
 Most of it shares no code with the package internals and is deliberately
-naive (nested loops, direct formulas). Seven pieces are the package's former
+naive (nested loops, direct formulas). Eight pieces are the package's former
 code, kept as a bit-for-bit reference: the einsum convolution kernels; the
 quantizer and batchnorm forward that allocated a new array per operation;
 the pruning rebuild that mirrored skip-path convs onto their destinations
@@ -11,8 +11,9 @@ training forward batch by batch (``predict``, ``eval_logits``); the graph
 walks that resolved skip connections and AD observation points per call
 (``skip_topology``, ``observation_points``); the ``reproduce`` tables that
 built each row's preset architecture for that row (``reproduce_table``);
-and the schedule loop that kept its state in locals
-(``former_run_schedule``).
+the schedule loop that kept its state in locals (``former_run_schedule``);
+and the energy reports that costed every report's baseline afresh
+(``former_*_network_energy``, ``former_to_dict``, ``former_indent2``).
 """
 
 from dataclasses import replace
@@ -21,7 +22,11 @@ import numpy as np
 
 from adq import reproduce as R
 from adq.admon import ADHistory
-from adq.energy import (analytical_network_energy, pim_network_energy,
+from adq.energy import (_CONTAINERS, PIM_MAC_FJ, EnergyReport, LayerEnergy,
+                        _encoder, _is_flat, _resolve_bits,
+                        analytical_layer_energy, analytical_network_energy,
+                        layer_shapes, mac_count, mem_accesses,
+                        pim_network_energy, pim_round_bits,
                         training_complexity)
 from adq.errors import ConfigurationError, InputError, TrainingDiverged
 from adq.nn import engine
@@ -703,3 +708,98 @@ def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
     state.epoch = epoch
     scores = {lid: pos / n for lid, (pos, n) in counts.items()}
     return float(np.mean(losses)), scores
+
+
+# ---------------------------------------------------- former energy reports
+# The package's former ``_network_energy``, ``pim_network_energy``,
+# ``analytical_network_energy``, ``EnergyReport.to_dict`` and ``_indent2``
+# verbatim (renamed ``former_*``; ``former_to_dict`` takes the report as
+# ``self``): each row's counts computed twice, the uniform baseline costed
+# layer by layer for every report, the rows summed once per total, and two
+# encoder calls per scalar item of a dict that holds a container.
+
+def former_network_energy(model, arch, assignment, prune_state, baseline_bits,
+                          cost) -> EnergyReport:
+    """Report with one row per weighted layer; cost(shape, k) returns
+    (the PIM precision or None, energy in pJ). The baseline is uniform
+    `baseline_bits`, unpruned, over the same layer set."""
+    channels = getattr(prune_state, "channels", prune_state)
+    shapes = layer_shapes(arch, channels)
+    bits = _resolve_bits(shapes, assignment)
+    report = EnergyReport(model=model, baseline_bits=baseline_bits)
+    for s in shapes:
+        k = bits[s.layer_id]
+        pim_k, energy_pj = cost(s, k)
+        report.rows.append(LayerEnergy(
+            layer_id=s.layer_id, kind=s.kind, k=k, pim_k=pim_k,
+            in_channels=s.i, out_channels=s.o,
+            n_mem=mem_accesses(s), n_mac=mac_count(s),
+            energy_pj=energy_pj, binary_flag=(k == 1)))
+    # an unpruned report is costed at the baseline's own shapes
+    base_shapes = shapes if channels is None else layer_shapes(arch)
+    report.baseline_total_pj = sum(
+        cost(s, baseline_bits)[1] for s in base_shapes)
+    return report
+
+
+def former_pim_network_energy(arch: NetworkArch, assignment,
+                              prune_state=None) -> EnergyReport:
+    """MAC-only PIM energy report; baseline is uniform 16-bit, unpruned."""
+    def cost(s, k):
+        pk = pim_round_bits(k)
+        return pk, mac_count(s) * PIM_MAC_FJ[pk] / 1e3  # fJ -> pJ
+    return former_network_energy("pim", arch, assignment, prune_state, 16,
+                                 cost)
+
+
+def former_analytical_network_energy(arch: NetworkArch, assignment,
+                                     prune_state=None,
+                                     baseline_bits: int = 16) -> EnergyReport:
+    """MAC + memory-access energy report; baseline is uniform `baseline_bits`,
+    unpruned, over the same layer set."""
+    def cost(s, k):
+        return None, analytical_layer_energy(s, k)
+    return former_network_energy("analytical", arch, assignment, prune_state,
+                                 baseline_bits, cost)
+
+
+def former_to_dict(self) -> dict:
+    return {
+        "model": self.model,
+        "baseline_bits": self.baseline_bits,
+        "layers": [vars(r) for r in self.rows],
+        "total_pj": self.total_pj,
+        "total_uj": self.total_uj,
+        "baseline_total_pj": self.baseline_total_pj,
+        "baseline_total_uj": self.baseline_total_pj / 1e6,
+        "efficiency_ratio": self.efficiency,
+    }
+
+
+def former_indent2(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)`` for str-keyed JSON data. The indenting
+    encoder is pure Python; here the C encoder writes each container that
+    holds no container in one call, and a list of such dicts (a report's
+    rows) in one call for the whole list."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return _encoder(0).encode(obj)  # a scalar, {} or []
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    is_dict = isinstance(obj, dict)
+    if _is_flat(obj.values() if is_dict else obj):
+        body = _encoder(depth + 1).encode(obj)[1:-1]
+    elif is_dict:
+        body = ("," + inner).join(
+            _encoder(0).encode(k) + ": " + former_indent2(v, depth + 1)
+            for k, v in obj.items())
+    elif all(isinstance(v, dict) and v and _is_flat(v.values()) for v in obj):
+        # the encoder writes "},<separator>{" between two rows and nowhere
+        # else, since an encoded string holds no raw newline
+        row_pad = inner + "  "
+        rows = _encoder(depth + 2).encode(obj)[2:-2].replace(
+            "}," + row_pad + "{", inner + "}," + inner + "{" + row_pad)
+        body = "{" + row_pad + rows + inner + "}"
+    else:
+        body = ("," + inner).join(former_indent2(v, depth + 1) for v in obj)
+    opening, closing = "{}" if is_dict else "[]"
+    return opening + inner + body + pad + closing

@@ -209,6 +209,16 @@ class TestTrain:
         assert err[0].startswith("training diverged: ")
         assert err[1].startswith("diagnostic checkpoint: ")
 
+    def test_output_dir_under_a_file_exits_1(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        cfg_path, _ = _write_config(
+            tmp_path, {"output_dir": str(tmp_path / "f" / "x")})
+        assert main(["train", "-c", str(cfg_path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and str(tmp_path / "f" / "x") in err
+        assert out == ""
+
     def test_config_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
@@ -257,6 +267,16 @@ class TestEnergy:
                                               baseline_bits=p.baseline_bits))
         text = (tmp_path / f"energy_{name}_{model}.json").read_text()
         assert text == json.dumps(rep.to_dict(), indent=2)
+
+    def test_out_under_a_file_exits_1(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        out_dir = str(tmp_path / "f" / "x")
+        assert main(["energy", "--preset", "vgg19-cifar10-baseline",
+                     "--out", out_dir]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and out_dir in err
+        assert out == ""  # --out is checked before the report is printed
 
     def test_uniform_preset_ratio_exactly_one(self, capsys):
         assert main(["energy", "--preset", "resnet18-cifar100-baseline",

@@ -18,8 +18,10 @@ from adq.energy import (ADD32_PJ, MEM_PJ_PER_BIT, MULT32_PJ, EnergyReport,
 from adq.errors import InputError
 from adq.nn.arch import NetworkArch, main_chain_weighted_ids
 from adq.presets import build_resnet18, build_toy_cnn, build_vgg19
-from adq.presets import PRESETS, channel_map
+from adq.presets import PRESETS, assignment_map, channel_map
 from adq.scheduler import BitWidthAssignment
+
+import oracles
 
 
 def shp(kind="conv", n=1, m=1, p=1, i=1, o=1):
@@ -317,8 +319,28 @@ class TestReportJson:
         unpruned = pim_network_energy(arch, bits)
         assert len(calls) == 1
         pruned = pim_network_energy(arch, bits, p.channel_assignment(arch))
-        assert len(calls) == 3  # its own shapes, then the baseline's
+        assert len(calls) == 2  # its own shapes; the baseline is kept
         assert unpruned.baseline_total_pj == pruned.baseline_total_pj
+
+    def test_cold_pruned_report_resolves_the_baseline_once(self,
+                                                           monkeypatch):
+        p = PRESETS["vgg19-cifar10-prune-iter2"]
+        arch = p.build_arch()
+        bits = p.bit_assignment(arch)
+        channels = p.channel_assignment(arch)
+        calls = []
+        real = energy.layer_shapes
+
+        def counting_shapes(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(energy, "layer_shapes", counting_shapes)
+        first = pim_network_energy(arch, bits, channels)
+        assert len(calls) == 2  # its own shapes, then the baseline's
+        second = pim_network_energy(arch, bits, channels)
+        assert len(calls) == 3  # its own shapes only
+        assert first.baseline_total_pj == second.baseline_total_pj
 
 
 def _preset_channels(p, arch):
@@ -408,3 +430,63 @@ class TestResolvedOncePerArch:
             pim_network_energy(arch, bits, channels)
         assert walks == [channels] * k
         assert len(kept) <= 1
+
+
+_FAMILIES = ("vgg19-cifar10-baseline", "resnet18-cifar100-baseline",
+             "resnet18-tinyimagenet-baseline")
+# (model, baseline bits, largest drawn bit-width)
+_MODELS = (("pim", 16, 16), ("analytical", 16, 32), ("analytical", 32, 32))
+
+
+@st.composite
+def _report_calls(draw):
+    """A preset family and a sequence of report calls on it: (model,
+    baseline bits, main-chain bit list, main-chain conv channel list or
+    None)."""
+    name = draw(st.sampled_from(_FAMILIES))
+    arch = PRESETS[name].build_arch()
+    main = main_chain_weighted_ids(arch)
+    widths = [arch.layer(i).out_channels for i in main
+              if arch.layer(i).kind == "conv2d"]
+    calls = []
+    for _ in range(draw(st.integers(2, 6))):
+        model, baseline_bits, top = draw(st.sampled_from(_MODELS))
+        bits = draw(st.lists(st.integers(1, top), min_size=len(main),
+                             max_size=len(main)))
+        chans = draw(st.none() | st.tuples(
+            *[st.integers(1, w) for w in widths]))
+        calls.append((model, baseline_bits, bits, chans))
+    return name, calls
+
+
+def _report(network_energy, model, arch, bits_list, chans, baseline_bits):
+    bits = assignment_map(arch, bits_list)
+    channels = None if chans is None else channel_map(arch, chans)
+    if model == "pim":
+        return network_energy[0](arch, bits, channels)
+    return network_energy[1](arch, bits, channels,
+                             baseline_bits=baseline_bits)
+
+
+class TestFormerReports:
+    """Reports equal the former code's (tests/oracles.py) byte for byte,
+    whatever reports the same architecture built before."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_report_calls())
+    def test_reused_and_fresh_archs_match_the_former_code(self, drawn):
+        name, calls = drawn
+        p = PRESETS[name]
+        reused = p.build_arch()
+        for model, baseline_bits, bits, chans in calls:
+            want = _report((oracles.former_pim_network_energy,
+                            oracles.former_analytical_network_energy),
+                           model, p.build_arch(), bits, chans, baseline_bits)
+            want_json = oracles.former_indent2(oracles.former_to_dict(want))
+            for arch in (reused, p.build_arch()):
+                got = _report((pim_network_energy,
+                               analytical_network_energy),
+                              model, arch, bits, chans, baseline_bits)
+                assert got.to_json() == want_json
+                assert got.to_csv() == want.to_csv()
+                assert got.baseline_total_pj == want.baseline_total_pj
