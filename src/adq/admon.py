@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from adq.artifacts import csv_text
 from adq.errors import InputError
 from adq.nn.arch import KINDS, NetworkArch
 
@@ -102,13 +103,11 @@ class ADHistory:
         return all(self.layer_saturated(l, epsilon, window, epochs)
                    for l in layers)
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["layer_id", "epoch", "nonzero", "total", "ad"])
-            for (lid, e) in sorted(self.records):
-                r = self.records[(lid, e)]
-                w.writerow([lid, e, r.nonzero, r.total, f"{r.ad():.10g}"])
+    def to_csv(self) -> str:
+        return csv_text([
+            ["layer_id", "epoch", "nonzero", "total", "ad"],
+            *([lid, e, r.nonzero, r.total, f"{r.ad():.10g}"]
+              for (lid, e), r in sorted(self.records.items()))])
 
     @classmethod
     def from_csv(cls, path) -> "ADHistory":

@@ -6,21 +6,23 @@
     adq reproduce --table {1|2|4|5}
     adq plotdata --run DIR
 
-Exit codes: 0 success, 1 usage/config/input error (a bad command line or a
-corrupt input file included), 2 reproduction-tolerance failure, 3 runtime
-failure.
+Exit codes: 0 success, 1 usage/config/input error (a bad command line, a
+corrupt input file or an output file that cannot be written included), 2
+reproduction-tolerance failure, 3 runtime failure. Every artifact name lives
+here; ``adq.artifacts.write_file`` writes each file whole or not at all.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import os
 import sys
 
 from adq import energy as energy_mod
 from adq.admon import ADHistory
+from adq.artifacts import check_targets, csv_text, make_dir, write_file
 from adq.config import ExperimentConfig
 from adq.errors import AdqError, ConfigurationError, InputError, TrainingDiverged
 from adq.nn.checkpoint import load_checkpoint
@@ -78,12 +80,6 @@ def main(argv=None) -> int:
     except (ConfigurationError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TrainingDiverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        if exc.checkpoint_path:
-            print(f"diagnostic checkpoint: {exc.checkpoint_path}",
-                  file=sys.stderr)
-        return EXIT_RUNTIME
     except AdqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -96,40 +92,58 @@ def cmd_train(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     arch = cfg.resolve_arch()
     dataset = cfg.resolve_dataset()
-    outdir = cfg.output_dir
-    _make_dir(outdir)
+    models = _models(cfg.energy_model)
+    out = functools.partial(os.path.join, cfg.output_dir)
+    make_dir(cfg.output_dir)
+    iters = range(1, cfg.schedule.max_iters + 1)
+    # every name but a diverged checkpoint's, before the first epoch
+    check_targets(map(out, (
+        "schedule_log.json", "schedule_log.csv", "ad_history.csv",
+        "checkpoint_final.ckpt",
+        *(f"checkpoint_iter{it}.ckpt" for it in iters),
+        *(f"energy_iter{it}_{model}.{ext}" for it in iters
+          for model in models for ext in ("json", "csv")))))
 
     energy_rows = []
 
     def on_iteration(it, it_arch, it_state, assignment, prune_state, history,
                      record):
-        save_schedule_checkpoint(
-            os.path.join(outdir, f"checkpoint_iter{it}.ckpt"), it_arch,
-            it_state, assignment, prune_state, history)
-        for model in _models(cfg.energy_model):  # against uniform 16-bit
+        save_schedule_checkpoint(out(f"checkpoint_iter{it}.ckpt"), it_arch,
+                                 it_state, assignment, prune_state, history)
+        for model in models:  # against uniform 16-bit
             rep = _energy_report(model, it_arch, assignment, prune_state, 16)
-            _write_report(rep,
-                          os.path.join(outdir, f"energy_iter{it}_{model}"))
+            _write_report(rep, out(f"energy_iter{it}_{model}"))
             energy_rows.append((it, model, rep.efficiency))
 
-    result = run_schedule(arch, dataset, cfg.schedule, seed=cfg.seed,
-                          optim=cfg.optimizer, diagnostics_dir=outdir,
-                          iteration_callback=on_iteration)
+    try:
+        result = run_schedule(arch, dataset, cfg.schedule, seed=cfg.seed,
+                              optim=cfg.optimizer,
+                              iteration_callback=on_iteration)
+    except TrainingDiverged as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        run, path = exc.run, out(f"diverged_epoch{exc.run.epoch}.ckpt")
+        try:
+            save_schedule_checkpoint(path, run.arch, run.state, run.assignment,
+                                     run.prune_state, run.ad_history)
+            print(f"diagnostic checkpoint: {path}", file=sys.stderr)
+        except InputError as err:
+            print(f"no diagnostic checkpoint: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
 
-    result.ad_history.to_csv(os.path.join(outdir, "ad_history.csv"))
+    write_file(out("ad_history.csv"), result.ad_history.to_csv())
     log = result.log.to_dict()
     log["energy_efficiency"] = [
         {"iter": it, "model": m, "ratio": r} for it, m, r in energy_rows]
-    with open(os.path.join(outdir, "schedule_log.json"), "w") as f:
-        json.dump(log, f, indent=2, sort_keys=True)
-    _write_log_csv(os.path.join(outdir, "schedule_log.csv"), result)
+    write_file(out("schedule_log.json"),
+               json.dumps(log, indent=2, sort_keys=True))
+    write_file(out("schedule_log.csv"), _log_csv(result.log))
     save_schedule_checkpoint(
-        os.path.join(outdir, "checkpoint_final.ckpt"), result.arch,
-        result.state, result.assignment, result.prune_state,
-        result.ad_history, result.quantizer)
+        out("checkpoint_final.ckpt"), result.arch, result.state,
+        result.assignment, result.prune_state, result.ad_history,
+        result.quantizer)
     print(f"completed {len(result.log.iterations)} iteration(s); "
           f"final test accuracy {result.log.final_accuracy:.4f}")
-    print(f"artifacts in {outdir}")
+    print(f"artifacts in {cfg.output_dir}")
     return EXIT_OK
 
 
@@ -150,38 +164,23 @@ def _energy_report(model, arch, assignment, prune_state, baseline_bits):
         arch, assignment, prune_state, baseline_bits=baseline_bits)
 
 
-def _make_dir(path):
-    """os.makedirs(path, exist_ok=True), with a failure as an InputError."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot create output directory {path!r}: "
-                         f"{exc.strerror or exc}") from None
-
-
 def _write_report(rep, base):
-    """Write `rep` to base.json and base.csv, with a failure as an
-    InputError."""
-    for path, write in ((base + ".json", rep.to_json),
-                        (base + ".csv", rep.to_csv)):
-        try:
-            write(path)
-        except OSError as exc:
-            raise InputError(f"cannot write report {path!r}: "
-                             f"{exc.strerror or exc}") from None
+    """Write `rep` to base.json and base.csv."""
+    write_file(base + ".json", rep.to_json())
+    write_file(base + ".csv", rep.to_csv())
 
 
-def _write_log_csv(path, result):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["iter", "bits", "channels", "test_accuracy", "total_ad",
-                    "epochs"])
-        for rec in result.log.iterations:
-            bits = "|".join(str(rec.bits[k]) for k in sorted(rec.bits))
-            chans = "" if rec.channels is None else "|".join(
-                str(rec.channels[k]) for k in sorted(rec.channels))
-            w.writerow([rec.iter, bits, chans, f"{rec.test_accuracy:.6f}",
-                        f"{rec.network_ad:.6f}", rec.epochs])
+def _log_csv(log) -> str:
+    """schedule_log.csv: one row per IterationRecord of the ScheduleLog."""
+    rows = [["iter", "bits", "channels", "test_accuracy", "total_ad",
+             "epochs"]]
+    for rec in log.iterations:
+        bits = "|".join(str(rec.bits[k]) for k in sorted(rec.bits))
+        chans = "" if rec.channels is None else "|".join(
+            str(rec.channels[k]) for k in sorted(rec.channels))
+        rows.append([rec.iter, bits, chans, f"{rec.test_accuracy:.6f}",
+                     f"{rec.network_ad:.6f}", rec.epochs])
+    return csv_text(rows)
 
 
 # --------------------------------------------------------------------- energy
@@ -216,7 +215,7 @@ def cmd_energy(args) -> int:
 
     rep = _energy_report(args.model, arch, bits, channels, baseline_bits)
     if args.out:
-        _make_dir(args.out)
+        make_dir(args.out)
     print(f"{label} [{args.model}]")
     print(f"  total energy:    {rep.total_uj:.6g} uJ")
     print(f"  baseline energy: {rep.baseline_total_pj / 1e6:.6g} uJ "
@@ -290,16 +289,10 @@ def cmd_plotdata(args) -> int:
                          f"epoch_accuracy list ({exc!r})") from None
 
     out_ad = os.path.join(run, "ad_vs_epoch.csv")
-    with open(out_ad, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["layer_id", "epoch", "ad"])
-        w.writerows(ad_rows)
-
     out_acc = os.path.join(run, "accuracy_vs_epoch.csv")
-    with open(out_acc, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "test_accuracy"])
-        w.writerows(acc_rows)
+    check_targets((out_ad, out_acc))
+    write_file(out_ad, csv_text([["layer_id", "epoch", "ad"], *ad_rows]))
+    write_file(out_acc, csv_text([["epoch", "test_accuracy"], *acc_rows]))
     print(out_ad)
     print(out_acc)
     return EXIT_OK

@@ -18,13 +18,12 @@ the report, since a true binary execution path would use different hardware.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 from dataclasses import dataclass, field
 from itertools import chain
 
+from adq.artifacts import csv_text
 from adq.errors import ConfigurationError, InputError
 from adq.nn.arch import NetworkArch
 
@@ -160,34 +159,23 @@ class EnergyReport:
                 self.baseline_total_pj, total),
         }
 
-    def to_json(self, path=None) -> str:
+    def to_json(self) -> str:
         """The report as JSON, byte for byte ``json.dumps(self.to_dict(),
         indent=2)``, written by the C encoder (see ``_indent2``)."""
-        text = _indent2(self.to_dict())
-        if path is not None:
-            with open(path, "w") as f:
-                f.write(text)
-        return text
+        return _indent2(self.to_dict())
 
-    def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["layer_id", "kind", "k", "pim_k", "channels",
-                    "N_Mem", "N_MAC", "E_pJ"])
-        for r in self.rows:
-            w.writerow([r.layer_id, r.kind, r.k,
-                        "" if r.pim_k is None else r.pim_k,
-                        r.out_channels, r.n_mem, r.n_mac, f"{r.energy_pj:.6g}"])
-        w.writerow(["total", "", "", "", "", "", "", f"{self.total_pj:.6g}"])
-        w.writerow(["baseline_total", "", self.baseline_bits, "", "", "", "",
-                    f"{self.baseline_total_pj:.6g}"])
-        w.writerow(["efficiency_ratio", "", "", "", "", "", "",
-                    f"{self.efficiency:.6g}"])
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", newline="") as f:
-                f.write(text)
-        return text
+    def to_csv(self) -> str:
+        return csv_text([
+            ["layer_id", "kind", "k", "pim_k", "channels", "N_Mem", "N_MAC",
+             "E_pJ"],
+            *([r.layer_id, r.kind, r.k, "" if r.pim_k is None else r.pim_k,
+               r.out_channels, r.n_mem, r.n_mac, f"{r.energy_pj:.6g}"]
+              for r in self.rows),
+            ["total", "", "", "", "", "", "", f"{self.total_pj:.6g}"],
+            ["baseline_total", "", self.baseline_bits, "", "", "", "",
+             f"{self.baseline_total_pj:.6g}"],
+            ["efficiency_ratio", "", "", "", "", "", "",
+             f"{self.efficiency:.6g}"]])
 
 
 _CONTAINERS = (dict, list, tuple)

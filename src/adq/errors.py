@@ -21,11 +21,11 @@ class UsageError(AdqError):
 
 
 class TrainingDiverged(AdqError):
-    """Training produced a non-finite loss; a diagnostic checkpoint may exist."""
+    """A non-finite training loss; run is the ScheduleRun as it stood then."""
 
-    def __init__(self, message, checkpoint_path=None):
+    def __init__(self, message, run=None):
         super().__init__(message)
-        self.checkpoint_path = checkpoint_path
+        self.run = run
 
 
 # an annotation -> (the JSON types it takes, how to name them)

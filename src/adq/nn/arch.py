@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from adq.artifacts import write_file
 from adq.errors import ConfigurationError
 from adq.nn.layers import conv_output_size, pool_geometry
 
@@ -384,8 +385,7 @@ class NetworkArch:
             raise ConfigurationError(f"malformed architecture record: {exc}") from exc
 
     def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
+        write_file(path, json.dumps(self.to_dict(), indent=2))
 
     @classmethod
     def load(cls, path) -> "NetworkArch":

@@ -15,6 +15,7 @@ import struct
 
 import numpy as np
 
+from adq.artifacts import write_file
 from adq.errors import ConfigurationError, InputError
 from adq.nn.arch import NetworkArch
 from adq.nn.engine import TrainState
@@ -60,12 +61,7 @@ def save_checkpoint(path, arch: NetworkArch, state: TrainState, *,
         "blobs": index,
     }
     payload = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(payload)))
-        f.write(payload)
-        for raw in blobs:
-            f.write(raw)
+    write_file(path, MAGIC, struct.pack("<I", len(payload)), payload, *blobs)
 
 
 def load_checkpoint(path):

@@ -294,7 +294,6 @@ class ScheduleRun:
 
 def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
                  seed: int = 0, optim: engine.OptimConfig | None = None,
-                 diagnostics_dir=None,
                  iteration_callback=None) -> ScheduleRun:
     """Execute the full quantization (and optional pruning) schedule.
 
@@ -317,7 +316,7 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
                                         run.trackers)
         start = run.epoch
         for _ in range(config.epoch_budget):
-            loss = _train_epoch(run, dataset, config, optim, diagnostics_dir)
+            loss = _train_epoch(run, dataset, config, optim)
             if run.ad_history.is_saturated(
                     config.saturation_epsilon, config.saturation_window,
                     epochs=list(range(start + 1, run.epoch + 1))):
@@ -344,7 +343,7 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
                                     run.trackers)
     for _ in range(config.final_convergence_epochs):
         run.log.final_epochs += 1
-        _train_epoch(run, dataset, config, optim, diagnostics_dir)
+        _train_epoch(run, dataset, config, optim)
     # the last final epoch evaluated this state and quantizer already; with
     # no final epochs the assignment, and so the quantizer, changed since
     # the last evaluation
@@ -440,12 +439,12 @@ def _test_accuracy(run: ScheduleRun, dataset) -> float:
                                dataset.y_test, run.quantizer)
 
 
-def _train_epoch(run: ScheduleRun, dataset, config, optim,
-                 diagnostics_dir) -> float:
+def _train_epoch(run: ScheduleRun, dataset, config, optim) -> float:
     """Train run one more epoch and log its test accuracy. Records the
     epoch's AD into run.ad_history and sets run.scores: when pruning, each
     conv's positive fraction per channel over the epoch's observed
-    activations ({} otherwise). Returns the mean loss."""
+    activations ({} otherwise). Returns the mean loss. A non-finite loss
+    raises TrainingDiverged with run as it stood at that batch."""
     epoch = run.epoch = run.epoch + 1
     arch, state, quantizer = run.arch, run.state, run.quantizer
     observe, counts = _epoch_observer(arch, run.ad_history, epoch,
@@ -459,14 +458,8 @@ def _train_epoch(run: ScheduleRun, dataset, config, optim,
                 quantizer=quantizer, training=True)
             loss, lgrad = engine.loss_softmax_xent(logits, by)
             if not np.isfinite(loss):
-                path = None
-                if diagnostics_dir is not None:
-                    path = f"{diagnostics_dir}/diverged_epoch{epoch}.ckpt"
-                    save_schedule_checkpoint(path, arch, state,
-                                             run.assignment, run.prune_state,
-                                             run.ad_history)
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}", checkpoint_path=path)
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}",
+                                       run)
             grads, _ = engine.backward(arch, state, cache, lgrad)
             engine.optimizer_step(state, grads, optim)
             losses.append(loss)

@@ -41,7 +41,7 @@ from adq.scheduler import (_QUIET_OVERFLOW, BitWidthAssignment,
                            IterationRecord, PruneState, ScheduleConfig,
                            ScheduleLog, ScheduleRun, _epoch_observer,
                            build_quantizer, rebuild_pruned,
-                           save_schedule_checkpoint, select_pruned_channels,
+                           select_pruned_channels,
                            update_bitwidths, update_channels)
 
 
@@ -570,12 +570,12 @@ def reproduce_table(table_id) -> list:
 # ``_test_accuracy`` and ``_train_epoch`` verbatim: the schedule's state in
 # locals, and the epoch body written out in both loops. It returns the
 # package's ``ScheduleRun``, whose first seven fields are the former
-# ``ScheduleResult``'s.
+# ``ScheduleResult``'s. Its ``diagnostics_dir`` option and the diverged
+# checkpoint it wrote are gone, as from ``run_schedule``.
 
 def former_run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
                         seed: int = 0,
                         optim: engine.OptimConfig | None = None,
-                        diagnostics_dir=None,
                         iteration_callback=None) -> ScheduleRun:
     """Execute the full quantization (and optional pruning) schedule.
 
@@ -602,9 +602,7 @@ def former_run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
         for _ in range(config.epoch_budget):
             epoch_global += 1
             loss, scores = _train_epoch(arch, state, quantizer, dataset,
-                                        config, optim, history, epoch_global,
-                                        diagnostics_dir, assignment,
-                                        prune_state)
+                                        config, optim, history, epoch_global)
             acc = _test_accuracy(arch, state, dataset, quantizer)
             log.epoch_accuracy.append((epoch_global, acc))
             iter_epochs.append(epoch_global)
@@ -655,8 +653,7 @@ def former_run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
         epoch_global += 1
         log.final_epochs += 1
         _train_epoch(arch, state, quantizer, dataset, config, optim,
-                     history, epoch_global, diagnostics_dir,
-                     assignment, prune_state)
+                     history, epoch_global)
         acc = _test_accuracy(arch, state, dataset, quantizer)
         log.epoch_accuracy.append((epoch_global, acc))
     # the last final epoch evaluated this state and quantizer already; with
@@ -676,7 +673,7 @@ def _test_accuracy(arch, state, dataset, quantizer) -> float:
 
 
 def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
-                 epoch, diagnostics_dir, assignment, prune_state):
+                 epoch):
     """Train one epoch, recording its AD into history. Returns the mean
     loss and, when pruning, each conv's positive fraction per channel over
     the epoch's observed activations ({} otherwise)."""
@@ -691,13 +688,7 @@ def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
                 quantizer=quantizer, training=True)
             loss, lgrad = engine.loss_softmax_xent(logits, by)
             if not np.isfinite(loss):
-                path = None
-                if diagnostics_dir is not None:
-                    path = f"{diagnostics_dir}/diverged_epoch{epoch}.ckpt"
-                    save_schedule_checkpoint(path, arch, state, assignment,
-                                             prune_state, history)
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}", checkpoint_path=path)
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             grads, _ = engine.backward(arch, state, cache, lgrad)
             engine.optimizer_step(state, grads, optim)
             losses.append(loss)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adq.admon import ADHistory, observation_points
+from adq.artifacts import write_file
 from adq.errors import InputError
 from adq.presets import build_resnet18, build_toy_cnn
 
@@ -175,7 +176,7 @@ def test_csv_round_trip(tmp_path):
         for e in (1, 2, 3):
             h.record(lid, e, np.maximum(rng.normal(size=40), 0))
     path = tmp_path / "ad.csv"
-    h.to_csv(path)
+    write_file(path, h.to_csv())
     back = ADHistory.from_csv(path)
     assert back.records.keys() == h.records.keys()
     for key, rec in h.records.items():

@@ -464,3 +464,113 @@ class TestPlotdata:
         assert name in err[0]
         for out in ("ad_vs_epoch.csv", "accuracy_vs_epoch.csv"):
             assert not os.path.exists(os.path.join(outdir, out))
+
+
+class TestArtifactWrites:
+    """Every file goes through adq.artifacts.write_file: whole or not at
+    all, and a name that cannot be written exits 1 before any is."""
+
+    @pytest.mark.parametrize("name", [
+        "schedule_log.json", "schedule_log.csv", "ad_history.csv",
+        "checkpoint_final.ckpt", "checkpoint_iter1.ckpt",
+        "checkpoint_iter2.ckpt", "energy_iter1_analytical.json",
+        "energy_iter1_pim.csv", "energy_iter2_analytical.csv",
+        "energy_iter2_pim.json", "ad_history.csv.tmp"])
+    def test_train_checks_every_name_before_training(self, tmp_path, capsys,
+                                                     name):
+        cfg_path, outdir = _write_config(tmp_path)
+        os.makedirs(os.path.join(outdir, name))
+        assert main(["train", "-c", str(cfg_path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and name in err
+        assert out == "" and os.listdir(outdir) == [name]  # nothing written
+
+    @pytest.fixture(scope="class")
+    def trained_run(self, tmp_path_factory):
+        cfg_path, outdir = _write_config(tmp_path_factory.mktemp("plot"))
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        return outdir
+
+    @pytest.mark.parametrize("name", ["ad_vs_epoch.csv",
+                                      "accuracy_vs_epoch.csv"])
+    def test_plotdata_checks_both_outputs_first(self, trained_run, capsys,
+                                                name):
+        before = set(os.listdir(trained_run))
+        os.mkdir(os.path.join(trained_run, name))
+        try:
+            capsys.readouterr()
+            assert main(["plotdata", "--run", trained_run]) == 1
+            out, err = capsys.readouterr()
+            assert set(os.listdir(trained_run)) == before | {name}
+        finally:
+            os.rmdir(os.path.join(trained_run, name))
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and name in err and out == ""
+
+    def test_failed_replace_keeps_the_previous_file(self, tmp_path,
+                                                    monkeypatch):
+        from adq.artifacts import write_file
+        path = str(tmp_path / "report.json")
+        write_file(path, "old\n")
+
+        def fail(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(InputError, match="No space left") as err:
+            write_file(path, b"new", "\n")
+        assert path in str(err.value)
+        assert os.listdir(tmp_path) == ["report.json"]  # no .tmp left
+        with open(path, "rb") as f:
+            assert f.read() == b"old\n"
+
+    def test_divergence_without_a_checkpoint_still_exits_3(self, tmp_path,
+                                                            capsys,
+                                                            monkeypatch):
+        cfg_path, outdir = _write_config(tmp_path,
+                                         {"optimizer": {"lr": 1e300}})
+
+        def fail(src, dst):
+            raise OSError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert main(["train", "-c", str(cfg_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2, err
+        assert err[0].startswith("training diverged: ")
+        assert err[1].startswith("no diagnostic checkpoint: cannot write ")
+        assert "diverged_epoch" in err[1] and "Permission denied" in err[1]
+        assert os.listdir(outdir) == []
+
+    def test_csv_bytes(self):
+        from adq.admon import ADHistory, ADRecord
+        from adq.cli import _log_csv
+        from adq.energy import EnergyReport, LayerEnergy
+        from adq.scheduler import IterationRecord, ScheduleLog
+        hist = ADHistory()
+        for rec in (ADRecord(3, 1, 2, 3), ADRecord(0, 2, 1, 8),
+                    ADRecord(0, 1, 5, 7)):
+            hist.records[(rec.layer_id, rec.epoch)] = rec
+        assert hist.to_csv().encode() == (
+            b"layer_id,epoch,nonzero,total,ad\r\n0,1,5,7,0.7142857143\r\n"
+            b"0,2,1,8,0.125\r\n3,1,2,3,0.6666666667\r\n")
+        rep = EnergyReport(
+            "pim", [LayerEnergy(0, "conv2d", 3, 4, 1, 8, 100, 2000,
+                                123.456789),
+                    LayerEnergy(2, "linear", 1, None, 8, 10, 90, 80, 0.5,
+                                True)],
+            baseline_total_pj=1000.0, baseline_bits=16)
+        assert rep.to_csv().encode() == (
+            b"layer_id,kind,k,pim_k,channels,N_Mem,N_MAC,E_pJ\r\n"
+            b"0,conv2d,3,4,8,100,2000,123.457\r\n2,linear,1,,10,90,80,0.5\r\n"
+            b"total,,,,,,,123.957\r\nbaseline_total,,16,,,,,1000\r\n"
+            b"efficiency_ratio,,,,,,,8.06733\r\n")
+        log = ScheduleLog(iterations=[
+            IterationRecord(1, {2: 16, 0: 16}, None, 3, 0.5, 0.25, 2.0),
+            IterationRecord(2, {2: 7, 0: 16}, {0: 4, 2: 3}, 2, 0.123456789,
+                            1.0, 1.5)])
+        assert _log_csv(log).encode() == (
+            b"iter,bits,channels,test_accuracy,total_ad,epochs\r\n"
+            b"1,16|16,,0.250000,0.500000,3\r\n"
+            b"2,16|7,4|3,1.000000,0.123457,2\r\n")

@@ -9,7 +9,8 @@ from adq.cli import main
 from adq.errors import TrainingDiverged
 from adq.nn.data import synthetic_dataset
 from adq.presets import build_toy_cnn
-from adq.scheduler import ScheduleConfig, run_schedule
+from adq.scheduler import (ScheduleConfig, run_schedule,
+                           save_schedule_checkpoint)
 
 from oracles import naive_conv2d
 
@@ -28,10 +29,14 @@ def test_divergence_aborts_with_diagnostic_checkpoint(tmp_path):
     cfg = ScheduleConfig(max_iters=1, epoch_budget=2, saturation_window=2,
                          saturation_epsilon=0.01)
     with pytest.raises(TrainingDiverged) as err:
-        run_schedule(arch, ds, cfg, seed=0, diagnostics_dir=str(tmp_path))
-    assert err.value.checkpoint_path is not None
+        run_schedule(arch, ds, cfg, seed=0)
+    run = err.value.run
+    assert run is not None and run.epoch == 1
     from adq.nn.checkpoint import load_checkpoint
-    arch2, _, header = load_checkpoint(err.value.checkpoint_path)
+    path = str(tmp_path / "diverged.ckpt")
+    save_schedule_checkpoint(path, run.arch, run.state, run.assignment,
+                             run.prune_state, run.ad_history)
+    arch2, _, header = load_checkpoint(path)
     assert header["bits"]
     assert arch2.to_dict() == arch.to_dict()
 
@@ -42,23 +47,8 @@ def test_schedule_checkpoints_share_one_layout(tmp_path):
     quantizer's ranges."""
     import json
     from adq.nn.checkpoint import load_checkpoint
-    ds = _dataset()
-    ds.x_train[0, 0, 0, 0] = np.nan
-    cfg = ScheduleConfig(max_iters=1, epoch_budget=2, saturation_window=2,
-                         pruning_enabled=True)
-    with pytest.raises(TrainingDiverged) as err:
-        run_schedule(build_toy_cnn(widths=(4, 4, 6, 6)), ds, cfg, seed=0,
-                     diagnostics_dir=str(tmp_path))
-    arch, _, header = load_checkpoint(err.value.checkpoint_path)
-    assert header["bits"] == {str(i): 16 for i in arch.weighted_ids()}
-    assert header["channels"] == {str(i): arch.layer(i).out_channels
-                                  for i in arch.conv_ids()}
-    assert header["quant_state"] is None
-
-    run = tmp_path / "run"
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({
-        "seed": 1, "output_dir": str(run),
+    cfg = {
+        "seed": 1,
         "arch": {"kind": "toy_cnn", "widths": [4, 4, 6, 6],
                  "image_shape": [1, 8, 8], "num_classes": 10},
         "dataset": {"kind": "synthetic", "num_classes": 10,
@@ -67,7 +57,22 @@ def test_schedule_checkpoints_share_one_layout(tmp_path):
         "schedule": {"max_iters": 2, "epoch_budget": 2,
                      "saturation_window": 2, "pruning_enabled": True,
                      "final_convergence_epochs": 1},
-        "energy_model": "none"}))
+        "energy_model": "none"}
+    p = tmp_path / "cfg.json"
+
+    diverged = tmp_path / "diverged"
+    p.write_text(json.dumps({**cfg, "output_dir": str(diverged),
+                             "optimizer": {"lr": 1e300}}))
+    assert main(["train", "-c", str(p)]) == 3
+    [path] = diverged.glob("diverged_epoch*.ckpt")
+    arch, _, header = load_checkpoint(str(path))
+    assert header["bits"] == {str(i): 16 for i in arch.weighted_ids()}
+    assert header["channels"] == {str(i): arch.layer(i).out_channels
+                                  for i in arch.conv_ids()}
+    assert header["quant_state"] is None
+
+    run = tmp_path / "run"
+    p.write_text(json.dumps({**cfg, "output_dir": str(run)}))
     assert main(["train", "-c", str(p)]) == 0
     log = json.loads((run / "schedule_log.json").read_text())
     for rec in log["iterations"]:
