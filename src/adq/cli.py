@@ -215,14 +215,15 @@ def cmd_energy(args) -> int:
 
     rep = _energy_report(args.model, arch, bits, channels, baseline_bits)
     if args.out:
+        base = os.path.join(args.out, f"energy_{label}_{args.model}")
         make_dir(args.out)
+        check_targets((f"{base}.json", f"{base}.csv"))
     print(f"{label} [{args.model}]")
     print(f"  total energy:    {rep.total_uj:.6g} uJ")
     print(f"  baseline energy: {rep.baseline_total_pj / 1e6:.6g} uJ "
           f"(uniform {rep.baseline_bits}-bit)")
     print(f"  efficiency:      {rep.efficiency:.4g}x")
     if args.out:
-        base = os.path.join(args.out, f"energy_{label}_{args.model}")
         _write_report(rep, base)
         print(f"  report files:    {base}.json / .csv")
     return EXIT_OK

@@ -11,7 +11,8 @@ scheduler's strict AD pass) keep no backward state: no kernel caches, no
 masks, and no layer output past its last reader. They fake-quantize each
 weight once per call rather than once per batch, and give the same logits
 bit for bit. ``backward`` computes the gradient with respect to the network
-input only when asked for it.
+input only when asked for it, and drops each layer's gradient once it has
+passed it on.
 """
 
 from __future__ import annotations
@@ -172,7 +173,8 @@ def backward(arch: NetworkArch, state: TrainState, cache: ForwardCache,
             gmap[target] += g
 
     for spec in reversed(arch.layers):
-        gout = gmap.get(spec.id)
+        # popped: only the gradients not yet passed on stay alive
+        gout = gmap.pop(spec.id, None)
         if gout is None or not needed[spec.id]:
             continue  # dead branch, or nothing upstream to train
         kind = KINDS[spec.kind]

@@ -9,20 +9,27 @@ skips ``grad_in`` (returned as None).
 Convolution is a GEMM over patch rows: the (B·Ho·Wo, C·k·k) matrix, one
 row per output position, columns in ``weight.reshape(Cout, -1)`` order. It
 is gathered with ``np.take`` from a channels-last (padded) copy of the
-input, through one sample's flat patch offsets into that copy; they depend
-only on the geometry (C, Hp, Wp, k, stride) and are memoized. The backward
-scatters the patch gradient back through the same offsets with
-``np.bincount``, SCATTER_CHUNK samples per call (a per-call index that
-stays small whatever the batch size), and copies each chunk's channels-last
-sums into a padded NCHW buffer. Training must stay bit-identical to the
+input, ``xp`` (B, Hp, Wp, C), through one sample's flat patch offsets into
+that copy; they depend only on the geometry (C, Hp, Wp, k, stride) and are
+memoized. The forward's cache keeps ``xp``, not the rows, which are about
+k·k times its size. The backward rebuilds the weight gradient's operand,
+the rows' transpose ``cols`` (C·k·k, B·Ho·Wo), from ``xp`` with k·k strided
+copies, one per kernel tap (classic im2col). It scatters the patch gradient
+back through the patch offsets with ``np.bincount``, SCATTER_CHUNK samples
+per call (a per-call index that stays small whatever the batch size), and
+copies each chunk's channels-last sums into a padded NCHW buffer. Training must stay bit-identical to the
 earlier im2col kernels, which fixes orders and memory layouts that are
 usually free choices:
 
 * GEMM operands. OpenBLAS's summation order follows operand layout, so the
   forward is ``rows @ Wmat.T`` with ``rows`` C-ordered (F-ordered when
-  B = 1), the weight gradient ``ascontiguousarray(rows.T) @ G`` with ``G``
-  the (B·Ho·Wo, Cout) matrix of the output gradient, and the patch gradient
-  ``G @ Wmat``. A transposed view in place of a copy changes bits.
+  B = 1), the weight gradient ``cols @ G`` with ``G`` the (B·Ho·Wo, Cout)
+  matrix of the output gradient, and the patch gradient ``G @ Wmat``.
+  ``cols`` has the values, bytes and layout of ``ascontiguousarray(rows.T)``
+  (F-ordered, as ``rows.T`` is, when Ho·Wo = 1): the tap copies move values
+  without arithmetic into a buffer allocated in that layout, so BLAS sees
+  the operands the earlier kernels passed it on any build. A transposed
+  view in place of a copy changes bits.
 * Scatter order. The earlier kernels added the k·k kernel taps in turn,
   so each input element is ``0 + g(0,0) + g(0,1) + ... + g(k-1,k-1)`` over
   the taps that reach it. ``np.bincount`` adds in traversal order, and the
@@ -95,44 +102,65 @@ def _patch_index(c, hp, wp, kernel, stride):
     return idx
 
 
-def _patch_rows(x: np.ndarray, kernel: int, stride: int, padding: int):
-    """Patch rows of x and the output size (see the module docstring)."""
-    b, c, h, w = x.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    xp = x.transpose(0, 2, 3, 1)  # a free view of a channels-innermost x
+def _padded(x: np.ndarray, padding: int):
+    """x channels-last, zero-padded: (B, Hp, Wp, C). Without padding it is
+    a free view of a channels-innermost x."""
+    xp = x.transpose(0, 2, 3, 1)
     if padding:
-        xp = np.zeros((b, hp, wp, c), dtype=x.dtype)
+        b, c, h, w = x.shape
+        xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
         xp[:, padding:padding + h, padding:padding + w] = x.transpose(0, 2, 3, 1)
+    return xp
+
+
+def _patch_rows(xp: np.ndarray, kernel: int, stride: int):
+    """Patch rows of the padded map xp (see the module docstring)."""
+    b, hp, wp, c = xp.shape
     idx = _patch_index(c, hp, wp, kernel, stride)
     rows = np.take(xp.reshape(b, -1), idx, axis=1).reshape(-1, idx.shape[1])
-    if b == 1:
-        rows = np.asfortranarray(rows)
-    return rows, conv_output_size(h, w, kernel, stride, padding)
+    return np.asfortranarray(rows) if b == 1 else rows
+
+
+def _patch_cols(xp: np.ndarray, kernel: int, stride: int, ho: int, wo: int):
+    """The patch rows' transpose, (C·k·k, B·Ho·Wo), copied tap by tap from
+    the padded map xp: C-ordered, or F-ordered for one output position."""
+    b, _, _, c = xp.shape
+    cols = np.empty((c * kernel * kernel, b * ho * wo),
+                    order="F" if ho * wo == 1 else "C")
+    taps = cols.reshape(c, kernel, kernel, b, ho, wo)  # a view of cols
+    src = xp.transpose(3, 0, 1, 2)
+    if kernel > 1:  # read k·k times: make the taps' reads unit-stride
+        src = np.ascontiguousarray(src)
+    for i in range(kernel):
+        for j in range(kernel):
+            taps[:, i, j] = src[:, :, i:i + stride * ho:stride,
+                                j:j + stride * wo:stride]
+    return cols
 
 
 def conv2d_forward(x, weight, bias, stride=1, padding=0):
     """x: (B, Cin, H, W); weight: (Cout, Cin, p, p); bias: (Cout,)."""
-    b = x.shape[0]
-    cout = weight.shape[0]
-    rows, (ho, wo) = _patch_rows(x, weight.shape[2], stride, padding)
+    b, _, h, w = x.shape
+    cout, _, p, _ = weight.shape
+    ho, wo = conv_output_size(h, w, p, stride, padding)
+    xp = _padded(x, padding)
+    rows = _patch_rows(xp, p, stride)
     out = rows @ weight.reshape(cout, -1).T
     out += bias
     out = out.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
     if rows.shape[1] == 1:  # an outer product: the earlier kernel's was NCHW
         out = np.ascontiguousarray(out)
-    cache = (x.shape, rows, weight, stride, padding, ho, wo)
+    cache = (x.shape, xp, weight, stride, padding, ho, wo)
     return out, cache
 
 
 def conv2d_backward(cache, gout, input_grad=True):
-    x_shape, rows, weight, stride, padding, ho, wo = cache
+    x_shape, xp, weight, stride, padding, ho, wo = cache
     b, c, h, w = x_shape
     cout, _, p, _ = weight.shape
     n = ho * wo
     g = gout.reshape(b, cout, n).transpose(0, 2, 1).reshape(b * n, cout)
-    # one output position: the earlier kernel read the (C·k·k, B) matrix
-    # in the patch rows' own order
-    cols = rows.T if n == 1 else np.ascontiguousarray(rows.T)
+    cols = _patch_cols(xp, p, stride, ho, wo)
     gw = (cols @ g).T
     # freed before grows is allocated, so the allocator can hand the same
     # block back; two such blocks freed together go back to the OS and

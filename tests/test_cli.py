@@ -486,6 +486,17 @@ class TestArtifactWrites:
         assert "Traceback" not in err and name in err
         assert out == "" and os.listdir(outdir) == [name]  # nothing written
 
+    @pytest.mark.parametrize("ext", ["json", "csv"])
+    def test_energy_checks_both_reports_first(self, tmp_path, capsys, ext):
+        name = f"energy_vgg19-cifar10-baseline_pim.{ext}"
+        os.makedirs(tmp_path / "e2" / name)
+        assert main(["energy", "--preset", "vgg19-cifar10-baseline",
+                     "--model", "pim", "--out", str(tmp_path / "e2")]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and name in err
+        assert out == "" and os.listdir(tmp_path / "e2") == [name]
+
     @pytest.fixture(scope="class")
     def trained_run(self, tmp_path_factory):
         cfg_path, outdir = _write_config(tmp_path_factory.mktemp("plot"))

@@ -24,6 +24,19 @@ class TestConvKernel:
         assert out.shape == want.shape
         assert np.abs(out - want).max() <= 1e-10
 
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (1, 2, 0)])
+    def test_cache_holds_at_most_the_padded_input(self, kernel, stride,
+                                                  padding):
+        # the patch rows of a 3x3 conv are about k*k times the input; the
+        # backward rebuilds what it needs from the padded input instead
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(8, 4, 10, 10))
+        w = rng.normal(size=(4, 4, kernel, kernel))
+        _, cache = L.conv2d_forward(x, w, np.zeros(4), stride, padding)
+        limit = 8 * 4 * (10 + 2 * padding) ** 2 * x.itemsize
+        sizes = [a.nbytes for a in cache if isinstance(a, np.ndarray)]
+        assert sizes and max(sizes) <= limit, (sizes, limit)
+
     def test_1x1_kernel(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1, 4, 6, 6))

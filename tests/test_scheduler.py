@@ -315,6 +315,22 @@ class TestRunSchedule:
         assert len(res.log.iterations) == 1
         assert all(b == 16 for b in res.log.iterations[0].bits.values())
 
+    def test_evaluates_at_the_training_batch_size(self, monkeypatch):
+        from adq.nn import engine
+        seen, real = [], engine.accuracy
+
+        def spy(arch, state, x, y, quantizer=None, batch_size=256):
+            seen.append(batch_size)
+            return real(arch, state, x, y, quantizer, batch_size)
+
+        monkeypatch.setattr(engine, "accuracy", spy)
+        cfg = ScheduleConfig(max_iters=1, epoch_budget=2, saturation_window=2,
+                             batch_size=16)
+        run_schedule(build_toy_cnn(widths=(4, 4, 8, 8)), self._dataset(),
+                     cfg, seed=0)
+        # two epochs, then the final evaluation at the last assignment
+        assert seen == [16, 16, 16]
+
     def test_bits_non_increasing_and_bounded_iterations(self):
         arch = build_toy_cnn(widths=(4, 4, 8, 8))
         cfg = ScheduleConfig(max_iters=4, epoch_budget=3, saturation_window=2,

@@ -1,5 +1,7 @@
 """Loss, optimizer, and whole-loop determinism tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,30 @@ class TestBackwardUsage:
         state = init_state(arch, 0)
         with pytest.raises(UsageError):
             backward(arch, state, object(), np.zeros((1, 10)))
+
+    def test_consumed_gradients_are_freed(self):
+        # a chain of same-shape layers: a backward that kept every layer's
+        # gradient until it returned would hold about `depth` maps at once
+        depth, shape = 24, (16, 4, 16, 16)
+        specs = [dict(kind="conv2d", in_channels=4, out_channels=4, kernel=1)]
+        specs += [dict(kind="relu" if i % 2 else "batchnorm")
+                  for i in range(depth)]
+        specs += [dict(kind="flatten"),
+                  dict(kind="linear", in_channels=4 * 16 * 16, out_channels=2)]
+        arch = NetworkArch([LayerSpec(id=i, **kw)
+                            for i, kw in enumerate(specs)], shape[1:], 2)
+        state = init_state(arch, 0)
+        x = np.random.default_rng(0).normal(size=shape)
+        logits, cache = forward(arch, state, x)
+        _, lgrad = loss_softmax_xent(logits, np.zeros(len(x), dtype=int))
+        tracemalloc.start()
+        try:
+            backward(arch, state, cache, lgrad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured: about 7 maps, and 31 when every gradient was kept
+        assert peak < depth // 2 * x.nbytes, peak / x.nbytes
 
     def test_foreign_cache_rejected(self):
         a1 = build_toy_cnn(widths=(2, 2, 2, 2))
