@@ -230,16 +230,17 @@ def cmd_energy(args) -> int:
 
 
 def _layer_map(header, key, path) -> dict:
-    """header[key], a JSON object of layer id -> integer, with int keys."""
+    """header[key], a JSON object of layer id -> integer >= 1, with int
+    keys."""
     value = header[key]
     try:
         if isinstance(value, dict) and all(
-                type(v) is int for v in value.values()):
+                type(v) is int and v >= 1 for v in value.values()):
             return {int(k): v for k, v in value.items()}
     except ValueError:  # a key that is not an integer
         pass
     raise InputError(f"checkpoint {path!r}: {key} must be an object of "
-                     "layer id -> integer")
+                     "layer id -> integer >= 1")
 
 
 # ------------------------------------------------------------------ reproduce

@@ -29,6 +29,7 @@ _VALID = {
     "image_shape": ("be three positive integers",
                     lambda v: len(v) == 3 and min(v) >= 1),
     "test_fraction": ("lie in (0, 1)", lambda v: 0 < v < 1),
+    "seed": ("be >= 0", lambda v: v >= 0),
 }
 
 
@@ -69,6 +70,8 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigurationError(
                 f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # not UTF-8
+            raise ConfigurationError(f"cannot read config {path!r}: {exc}") from exc
         return cls.from_dict(raw)
 
     @classmethod
@@ -113,6 +116,8 @@ class ExperimentConfig:
             baseline_epoch_total=raw.get("baseline_epoch_total"),
         )
         check_field_types(cfg)
+        if cfg.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {cfg.seed!r}")
         arch = cfg.resolve_arch()  # fail fast on bad references
         if schedule.remove_layers:
             arch.drop_layers(schedule.remove_layers)

@@ -18,10 +18,8 @@ the report, since a true binary execution path would use different hardware.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 
 from adq.artifacts import csv_text
 from adq.errors import ConfigurationError, InputError
@@ -161,8 +159,17 @@ class EnergyReport:
 
     def to_json(self) -> str:
         """The report as JSON, byte for byte ``json.dumps(self.to_dict(),
-        indent=2)``, written by the C encoder (see ``_indent2``)."""
-        return _indent2(self.to_dict())
+        indent=2)``. That encoder is pure Python; here the C encoder writes
+        all rows in one call and the scalar items in another, and the two
+        are spliced into the indent=2 layout. An encoded string holds no raw
+        newline, so the encoders write ",<newline>" only as a separator. A
+        report without rows has no efficiency ratio, so to_dict raises."""
+        doc = self.to_dict()
+        rows = _ROWS.encode(doc.pop("layers"))[2:-2].replace(
+            "},\n      {", "\n    },\n    {\n      ")
+        model, bits, totals = _ITEMS.encode(doc)[1:-1].split(",\n  ", 2)
+        return (f'{{\n  {model},\n  {bits},\n  "layers": [\n    {{\n      '
+                f"{rows}\n    }}\n  ],\n  {totals}\n}}")
 
     def to_csv(self) -> str:
         return csv_text([
@@ -178,60 +185,10 @@ class EnergyReport:
              f"{self.efficiency:.6g}"]])
 
 
-_CONTAINERS = (dict, list, tuple)
-_SCALARS = {str, int, float, bool, type(None)}
-
-
-@functools.cache
-def _encoder(depth: int) -> json.JSONEncoder:
-    """A C encoder whose item separator starts a new line `depth` levels of
-    two spaces deep."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
-
-
-def _is_flat(values) -> bool:
-    return set(map(type, values)) <= _SCALARS
-
-
-def _indent2(obj, depth: int = 0) -> str:
-    """``json.dumps(obj, indent=2)`` for str-keyed JSON data. The indenting
-    encoder is pure Python; here the C encoder writes each container that
-    holds no container in one call, each run of consecutive scalar items of
-    any other dict in one call, and a list of flat dicts (a report's rows)
-    in one call for the whole list, found flat by one type scan over all
-    their values."""
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        return _encoder(0).encode(obj)  # a scalar, {} or []
-    pad = "\n" + "  " * depth
-    inner = pad + "  "
-    is_dict = isinstance(obj, dict)
-    if _is_flat(obj.values() if is_dict else obj):
-        body = _encoder(depth + 1).encode(obj)[1:-1]
-    elif is_dict:
-        parts, run = [], {}
-        for k, v in obj.items():
-            if type(v) in _SCALARS:
-                run[k] = v
-                continue
-            if run:
-                parts.append(_encoder(depth + 1).encode(run)[1:-1])
-                run = {}
-            parts.append(_encoder(0).encode(k) + ": " + _indent2(v, depth + 1))
-        if run:
-            parts.append(_encoder(depth + 1).encode(run)[1:-1])
-        body = ("," + inner).join(parts)
-    elif (all(isinstance(v, dict) and v for v in obj)
-          and _is_flat(chain.from_iterable(map(dict.values, obj)))):
-        # the encoder writes "},<separator>{" between two rows and nowhere
-        # else, since an encoded string holds no raw newline
-        row_pad = inner + "  "
-        rows = _encoder(depth + 2).encode(obj)[2:-2].replace(
-            "}," + row_pad + "{", inner + "}," + inner + "{" + row_pad)
-        body = "{" + row_pad + rows + inner + "}"
-    else:
-        body = ("," + inner).join(_indent2(v, depth + 1) for v in obj)
-    opening, closing = "{}" if is_dict else "[]"
-    return opening + inner + body + pad + closing
+# C encoders whose item separators start a new line at a report's top level
+# and inside its rows
+_ITEMS = json.JSONEncoder(separators=(",\n  ", ": "))
+_ROWS = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
 def _resolve_bits(shapes, assignment):

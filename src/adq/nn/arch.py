@@ -389,8 +389,13 @@ class NetworkArch:
 
     @classmethod
     def load(cls, path) -> "NetworkArch":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        try:
+            with open(path) as f:
+                record = json.load(f)
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(
+                f"cannot read architecture file {path!r}: {exc}") from exc
+        return cls.from_dict(record)
 
     def drop_layers(self, layer_ids) -> "NetworkArch":
         """Return a copy with the given layers removed (shape-revalidated)."""

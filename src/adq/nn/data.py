@@ -72,8 +72,11 @@ def load_directory(path: str, test_fraction: float = 0.2,
         for fn in sorted(os.listdir(os.path.join(path, name))):
             if not fn.endswith(".npy"):
                 continue
-            arr = np.load(os.path.join(path, name, fn)).astype(np.float64)
-            xs.append(arr)
+            image = os.path.join(path, name, fn)
+            try:
+                xs.append(np.load(image).astype(np.float64))
+            except (OSError, ValueError) as exc:
+                raise InputError(f"cannot read image {image!r}: {exc}") from exc
             ys.append(label)
     if not xs:
         raise InputError(f"no .npy images found under {path!r}")

@@ -16,14 +16,15 @@ and the energy reports that costed every report's baseline afresh
 (``former_*_network_energy``, ``former_to_dict``, ``former_indent2``).
 """
 
+import functools
+import json
 from dataclasses import replace
 
 import numpy as np
 
 from adq import reproduce as R
 from adq.admon import ADHistory
-from adq.energy import (_CONTAINERS, PIM_MAC_FJ, EnergyReport, LayerEnergy,
-                        _encoder, _is_flat, _resolve_bits,
+from adq.energy import (PIM_MAC_FJ, EnergyReport, LayerEnergy, _resolve_bits,
                         analytical_layer_energy, analytical_network_energy,
                         layer_shapes, mac_count, mem_accesses,
                         pim_network_energy, pim_round_bits,
@@ -707,7 +708,9 @@ def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
 # verbatim (renamed ``former_*``; ``former_to_dict`` takes the report as
 # ``self``): each row's counts computed twice, the uniform baseline costed
 # layer by layer for every report, the rows summed once per total, and two
-# encoder calls per scalar item of a dict that holds a container.
+# encoder calls per scalar item of a dict that holds a container. The
+# package's ``_CONTAINERS``, ``_SCALARS``, ``_encoder`` and ``_is_flat``,
+# which ``former_indent2`` uses, are kept here verbatim.
 
 def former_network_energy(model, arch, assignment, prune_state, baseline_bits,
                           cost) -> EnergyReport:
@@ -765,6 +768,21 @@ def former_to_dict(self) -> dict:
         "baseline_total_uj": self.baseline_total_pj / 1e6,
         "efficiency_ratio": self.efficiency,
     }
+
+
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+@functools.cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """A C encoder whose item separator starts a new line `depth` levels of
+    two spaces deep."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
+
+
+def _is_flat(values) -> bool:
+    return set(map(type, values)) <= _SCALARS
 
 
 def former_indent2(obj, depth: int = 0) -> str:

@@ -155,6 +155,8 @@ class TestTrain:
     @pytest.mark.parametrize("overrides", [
         {"seed": "x"},
         {"seed": True},
+        {"seed": -1},
+        {"dataset": {"seed": -1}},
         {"baseline_epoch_total": "10"},
         {"optimizer": {"lr": "0.002"}},
         {"optimizer": {"lr": -1.0}},
@@ -229,6 +231,50 @@ class TestTrain:
         bad.write_text(json.dumps({"seed": 1}))
         assert main(["train", "-c", str(bad)]) == 1
         assert "output_dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, named", [
+        ("config-not-utf8", "config.json"),
+        ("arch-path-is-a-directory", "arch_dir"),
+        ("arch-file-is-a-directory", "arch_dir"),
+        ("arch-path-not-json", "arch.json"),
+        ("unreadable-image", "0.npy"),
+    ])
+    def test_unreadable_input_exits_1_before_the_output_dir(
+            self, tmp_path, capsys, case, named):
+        (tmp_path / "arch_dir").mkdir()
+        (tmp_path / "arch.json").write_text("{ not json")
+        cfg_path, outdir = _write_config(tmp_path, {
+            "config-not-utf8": {},
+            "arch-path-is-a-directory": {"arch": str(tmp_path / "arch_dir")},
+            "arch-file-is-a-directory": {
+                "arch": {"kind": "file", "path": str(tmp_path / "arch_dir")}},
+            "arch-path-not-json": {"arch": str(tmp_path / "arch.json")},
+            "unreadable-image": {"dataset": {"kind": "directory"}},
+        }[case])
+        if case == "config-not-utf8":
+            cfg_path.write_bytes(b"\xff" + cfg_path.read_bytes())
+        if case == "unreadable-image":  # an object array needs pickle
+            np.save(tmp_path / "images" / "0" / "0.npy", np.array([{}]))
+        assert main(["train", "-c", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and named in err
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("form", ["file", "inline"])
+    def test_arch_file_and_inline_forms_train(self, tmp_path, form):
+        arch = build_toy_cnn(widths=(4, 4, 6, 6))
+        arch.save(tmp_path / "toy_arch.json")
+        spec = ({"kind": "file", "path": str(tmp_path / "toy_arch.json")}
+                if form == "file" else arch.to_dict())
+        cfg_path, outdir = _write_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["arch"] = spec
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        ckpt_arch, _, _ = load_checkpoint(
+            os.path.join(outdir, "checkpoint_iter1.ckpt"))
+        assert ckpt_arch.to_dict() == arch.to_dict()
 
 
 class TestEnergy:
@@ -363,14 +409,18 @@ class TestCorruptCheckpoint:
 
     @pytest.mark.parametrize("header", [
         {"bits": [8, 8]}, {"bits": {"first": 8}}, {"bits": {"0": "8"}},
-        {"channels": {"0": 2.5}}, {"channels": ["2"]}])
+        {"channels": {"0": 2.5}}, {"channels": ["2"]},
+        {"channels": dict.fromkeys(["0", "2", "5", "7"], -3)},
+        {"channels": dict.fromkeys(["0", "2", "5", "7"], 0)}])
     def test_bad_bits_or_channels_exit_1(self, tmp_path, capsys, header):
         path = tmp_path / "odd.ckpt"
         _small_checkpoint(path, **header)
         assert main(["energy", "--checkpoint", str(path), "--model",
                      "pim"]) == 1
-        err = capsys.readouterr().err.splitlines()
+        out, err = capsys.readouterr()
+        err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert out == ""  # checked before the report is printed
 
 
 class TestUsage:

@@ -262,6 +262,13 @@ class TestChannelOverrides:
         assert any(s.o != t.o for s, t in zip(got, layer_shapes(arch)))
 
 
+# report strings and energies as the writer must escape or spell them
+_TEXT = st.text() | st.sampled_from(
+    ["pim", 'say "hi"', "two\nlines", "tab\t\\", "énergie", "能量 ⚡"])
+_ENERGIES = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0])
+
+
 class TestReportJson:
     """to_json is byte for byte json.dumps(to_dict(), indent=2)."""
 
@@ -297,14 +304,20 @@ class TestReportJson:
         assert path.read_text() == want
 
     @settings(max_examples=300, deadline=None)
-    @given(st.recursive(
-        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-        lambda inner: (st.lists(inner) | st.dictionaries(st.text(), inner)
-                       | st.lists(st.dictionaries(st.text(), inner,
-                                                  min_size=1))),
-        max_leaves=25))
-    def test_writer_matches_the_indenting_encoder(self, doc):
-        assert energy._indent2(doc) == json.dumps(doc, indent=2)
+    @given(st.builds(
+        EnergyReport, model=_TEXT,
+        rows=st.lists(st.builds(
+            LayerEnergy, layer_id=st.integers(0, 99), kind=_TEXT,
+            k=st.integers(1, 32), pim_k=st.none() | st.integers(2, 16),
+            in_channels=st.integers(1, 10**6),
+            out_channels=st.integers(1, 10**6),
+            n_mem=st.integers(0, 10**15), n_mac=st.integers(0, 10**15),
+            energy_pj=_ENERGIES, binary_flag=st.booleans()),
+            min_size=1, max_size=6),
+        baseline_total_pj=_ENERGIES, baseline_bits=st.integers(1, 32),
+    ).filter(lambda rep: rep.total_pj != 0))  # else no efficiency ratio
+    def test_writer_matches_the_indenting_encoder(self, rep):
+        assert rep.to_json() == json.dumps(rep.to_dict(), indent=2)
 
     def test_unpruned_report_infers_shapes_once(self, monkeypatch):
         p = PRESETS["vgg19-cifar10-prune-iter2"]
