@@ -16,8 +16,7 @@ from adq.nn.engine import (OptimConfig, TrainState, accuracy, backward,
                            optimizer_step)
 from adq.quant import (NetworkQuantizer, QuantParams, RangeTracker,
                        dequantize, fake_quant, quantize)
-from adq.scheduler import (BitWidthAssignment, PruneState, ScheduleConfig,
-                           ScheduleLog, build_quantizer,
+from adq.scheduler import (ScheduleConfig, ScheduleLog, build_quantizer,
                            propagate_skip_bitwidths,
                            run_schedule, select_pruned_channels,
                            update_bitwidths, update_channels)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -106,12 +107,12 @@ def cmd_train(args) -> int:
 
     energy_rows = []
 
-    def on_iteration(it, it_arch, it_state, assignment, prune_state, history,
-                     record):
-        save_schedule_checkpoint(out(f"checkpoint_iter{it}.ckpt"), it_arch,
-                                 it_state, assignment, prune_state, history)
+    def on_iteration(run, record):
+        it = record.iter
+        save_schedule_checkpoint(out(f"checkpoint_iter{it}.ckpt"), run)
         for model in models:  # against uniform 16-bit
-            rep = _energy_report(model, it_arch, assignment, prune_state, 16)
+            rep = _energy_report(model, run.arch, run.assignment, run.channels,
+                                 16)
             _write_report(rep, out(f"energy_iter{it}_{model}"))
             energy_rows.append((it, model, rep.efficiency))
 
@@ -123,8 +124,7 @@ def cmd_train(args) -> int:
         print(f"training diverged: {exc}", file=sys.stderr)
         run, path = exc.run, out(f"diverged_epoch{exc.run.epoch}.ckpt")
         try:
-            save_schedule_checkpoint(path, run.arch, run.state, run.assignment,
-                                     run.prune_state, run.ad_history)
+            save_schedule_checkpoint(path, run)
             print(f"diagnostic checkpoint: {path}", file=sys.stderr)
         except InputError as err:
             print(f"no diagnostic checkpoint: {err}", file=sys.stderr)
@@ -137,10 +137,8 @@ def cmd_train(args) -> int:
     write_file(out("schedule_log.json"),
                json.dumps(log, indent=2, sort_keys=True))
     write_file(out("schedule_log.csv"), _log_csv(result.log))
-    save_schedule_checkpoint(
-        out("checkpoint_final.ckpt"), result.arch, result.state,
-        result.assignment, result.prune_state, result.ad_history,
-        result.quantizer)
+    save_schedule_checkpoint(out("checkpoint_final.ckpt"), result,
+                             result.quantizer)
     print(f"completed {len(result.log.iterations)} iteration(s); "
           f"final test accuracy {result.log.final_accuracy:.4f}")
     print(f"artifacts in {cfg.output_dir}")
@@ -155,13 +153,13 @@ def _models(selection):
     return (selection,)
 
 
-def _energy_report(model, arch, assignment, prune_state, baseline_bits):
+def _energy_report(model, arch, bits, channels, baseline_bits):
     """The report of one energy model. baseline_bits sets the analytical
     baseline; the PIM baseline is always 16-bit."""
     if model == "pim":
-        return energy_mod.pim_network_energy(arch, assignment, prune_state)
+        return energy_mod.pim_network_energy(arch, bits, channels)
     return energy_mod.analytical_network_energy(
-        arch, assignment, prune_state, baseline_bits=baseline_bits)
+        arch, bits, channels, baseline_bits=baseline_bits)
 
 
 def _write_report(rep, base):
@@ -206,10 +204,15 @@ def cmd_energy(args) -> int:
         arch, _state, header = load_checkpoint(args.checkpoint)
         if not header.get("bits"):
             raise InputError("checkpoint carries no bit-width assignment")
-        bits = _layer_map(header, "bits", args.checkpoint)
+        bits = _layer_map(header, "bits", args.checkpoint,
+                          dict.fromkeys(arch.weighted_ids(), math.inf),
+                          "weighted")
         channels = None
         if header.get("channels"):
-            channels = _layer_map(header, "channels", args.checkpoint)
+            channels = _layer_map(
+                header, "channels", args.checkpoint,
+                {i: arch.layer(i).out_channels for i in arch.conv_ids()},
+                "conv")
         baseline_bits = 16
         label = os.path.basename(args.checkpoint)
 
@@ -229,18 +232,28 @@ def cmd_energy(args) -> int:
     return EXIT_OK
 
 
-def _layer_map(header, key, path) -> dict:
-    """header[key], a JSON object of layer id -> integer >= 1, with int
-    keys."""
+def _layer_map(header, key, path, limits, kind) -> dict:
+    """header[key] with int keys: a JSON object that maps ids of the
+    checkpoint's `kind` layers, the keys of limits, to integers from 1 to
+    limits[id]."""
     value = header[key]
     try:
-        if isinstance(value, dict) and all(
-                type(v) is int and v >= 1 for v in value.values()):
-            return {int(k): v for k, v in value.items()}
+        out = ({int(k): v for k, v in value.items()}
+               if isinstance(value, dict) else None)
     except ValueError:  # a key that is not an integer
-        pass
-    raise InputError(f"checkpoint {path!r}: {key} must be an object of "
-                     "layer id -> integer >= 1")
+        out = None
+    if out is None or not all(type(v) is int and v >= 1
+                              for v in out.values()):
+        raise InputError(f"checkpoint {path!r}: {key} must be an object of "
+                         "layer id -> integer >= 1")
+    for lid, v in out.items():
+        if lid not in limits:
+            raise InputError(f"checkpoint {path!r}: {key} names layer {lid}, "
+                             f"which is not a {kind} layer of its network")
+        if v > limits[lid]:
+            raise InputError(f"checkpoint {path!r}: {key} gives layer {lid} "
+                             f"{v}, more than its {limits[lid]}")
+    return out
 
 
 # ------------------------------------------------------------------ reproduce

@@ -87,8 +87,12 @@ class ExperimentConfig:
                 raise ConfigurationError(f"config field {key!r} is required")
             return raw[key]
 
-        sched_raw = dict(raw.get("schedule", {}))
-        opt_raw = dict(raw.get("optimizer", {}))
+        sched_raw = raw.get("schedule", {})
+        opt_raw = raw.get("optimizer", {})
+        for key, value in (("schedule", sched_raw), ("optimizer", opt_raw)):
+            if not isinstance(value, dict):
+                raise ConfigurationError(
+                    f"config field {key!r} must be a JSON object")
         try:
             schedule = ScheduleConfig(**sched_raw)
         except TypeError as exc:

@@ -191,30 +191,20 @@ _ITEMS = json.JSONEncoder(separators=(",\n  ", ": "))
 _ROWS = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
-def _resolve_bits(shapes, assignment):
-    if hasattr(assignment, "k"):
-        bits = assignment.k
-    else:
-        bits = assignment
-    missing = [s.layer_id for s in shapes if s.layer_id not in bits]
-    if missing:
-        raise ConfigurationError(f"no bit-width for layers {missing}")
-    return {s.layer_id: int(bits[s.layer_id]) for s in shapes}
-
-
-def _network_energy(model, arch, assignment, prune_state, baseline_bits,
+def _network_energy(model, arch, bits, channels, baseline_bits,
                     cost) -> EnergyReport:
     """Report with one row per weighted layer; cost(n_mem, n_mac, k) returns
     (the PIM precision or None, energy in pJ), and each row's counts are
     computed once. The baseline is uniform `baseline_bits`, unpruned, over
     the same layer set. Its total depends on the architecture alone, so it
     is costed on first use and kept on the arch by (model, baseline_bits)."""
-    channels = getattr(prune_state, "channels", prune_state)
     shapes = layer_shapes(arch, channels)
-    bits = _resolve_bits(shapes, assignment)
+    missing = [s.layer_id for s in shapes if s.layer_id not in bits]
+    if missing:
+        raise ConfigurationError(f"no bit-width for layers {missing}")
     rows = []
     for s in shapes:
-        k = bits[s.layer_id]
+        k = int(bits[s.layer_id])
         n_mem, n_mac = mem_accesses(s), mac_count(s)
         pim_k, energy_pj = cost(n_mem, n_mac, k)
         rows.append(LayerEnergy(s.layer_id, s.kind, k, pim_k, s.i, s.o,
@@ -239,19 +229,22 @@ def _analytical_cost(n_mem, n_mac, k):
     return None, _analytical_pj(n_mem, n_mac, k)
 
 
-def pim_network_energy(arch: NetworkArch, assignment,
-                       prune_state=None) -> EnergyReport:
-    """MAC-only PIM energy report; baseline is uniform 16-bit, unpruned."""
-    return _network_energy("pim", arch, assignment, prune_state, 16,
-                           _pim_cost)
+def pim_network_energy(arch: NetworkArch, bits: dict,
+                       channels: dict | None = None) -> EnergyReport:
+    """MAC-only PIM energy report of bits ({weighted layer id: k}) at the
+    conv channel counts `channels` (see layer_shapes); baseline is uniform
+    16-bit, unpruned."""
+    return _network_energy("pim", arch, bits, channels, 16, _pim_cost)
 
 
-def analytical_network_energy(arch: NetworkArch, assignment, prune_state=None,
+def analytical_network_energy(arch: NetworkArch, bits: dict,
+                              channels: dict | None = None,
                               baseline_bits: int = 16) -> EnergyReport:
-    """MAC + memory-access energy report; baseline is uniform `baseline_bits`,
-    unpruned, over the same layer set."""
-    return _network_energy("analytical", arch, assignment, prune_state,
-                           baseline_bits, _analytical_cost)
+    """MAC + memory-access energy report of bits ({weighted layer id: k}) at
+    the conv channel counts `channels` (see layer_shapes); baseline is
+    uniform `baseline_bits`, unpruned, over the same layer set."""
+    return _network_energy("analytical", arch, bits, channels, baseline_bits,
+                           _analytical_cost)
 
 
 def efficiency_ratio_values(baseline_total: float, total: float) -> float:

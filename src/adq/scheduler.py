@@ -10,10 +10,13 @@ bit-widths and channel counts are inherited from the destination layer of
 the skip connection (``adq.nn.arch.inherit_from_destinations``). The rule
 is applied where assignments are made, so every reader of an assignment
 (the quantizer, energy reports, checkpoints and logs) sees the inherited
-values. ``build_quantizer`` turns an assignment into the quantizer's site
-table, where exempt layers have no site and each residual add's skip
-branch runs at its destination's width. A ``ScheduleRun`` holds the
-schedule's whole state; ``run_schedule`` drives it epoch by epoch.
+values. Bit-widths ({weighted layer id: k}) and channel counts ({conv
+layer id: C}) are plain maps, as in presets, checkpoints and energy reports.
+``build_quantizer`` turns bit-widths into the quantizer's site table, where
+exempt layers (``default_exempt``) have no site and each residual add's
+skip branch runs at its destination's width. A ``ScheduleRun`` holds the
+schedule's whole state; ``run_schedule`` drives it epoch by epoch and
+passes it to the iteration callback.
 """
 
 from __future__ import annotations
@@ -34,30 +37,7 @@ from adq.nn.data import iter_batches
 from adq.quant import MAX_BITS, NetworkQuantizer, RangeTracker, round_half_away
 
 
-# ------------------------------------------------------------------- state
-
-@dataclass
-class BitWidthAssignment:
-    k: dict  # weighted layer id -> bit width
-    exempt: frozenset
-
-    @classmethod
-    def initial(cls, arch: NetworkArch,
-                initial_bits: int) -> "BitWidthAssignment":
-        return cls(k={i: initial_bits for i in arch.weighted_ids()},
-                   exempt=default_exempt(arch))
-
-
-@dataclass
-class PruneState:
-    channels: dict           # conv layer id -> current channel count
-    initial_channels: dict   # conv layer id -> original channel count
-
-    @classmethod
-    def initial(cls, arch: NetworkArch) -> "PruneState":
-        ch = {i: arch.layer(i).out_channels for i in arch.conv_ids()}
-        return cls(channels=dict(ch), initial_channels=dict(ch))
-
+# ------------------------------------------------------------------ config
 
 @dataclass
 class ScheduleConfig:
@@ -88,6 +68,8 @@ class ScheduleConfig:
             raise ConfigurationError("epoch budget smaller than saturation window")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
+        if self.final_convergence_epochs < 0:
+            raise ConfigurationError("final_convergence_epochs must be >= 0")
         if self.network_ad_mode not in ("pooled", "mean"):
             raise ConfigurationError(
                 f"network_ad_mode must be 'pooled' or 'mean', got "
@@ -126,32 +108,26 @@ def _shrink(widths: dict, refs: dict, ad_per_layer: dict,
     return out
 
 
-def update_bitwidths(assignment: BitWidthAssignment,
-                     ad_per_layer: dict) -> BitWidthAssignment:
+def update_bitwidths(bits: dict, ad_per_layer: dict, exempt) -> dict:
     """k_l <- round(k_l * AD_l), clamped to >= 1; exempt layers unchanged."""
-    return BitWidthAssignment(
-        _shrink(assignment.k, assignment.k, ad_per_layer, assignment.exempt),
-        assignment.exempt)
+    return _shrink(bits, bits, ad_per_layer, exempt)
 
 
-def update_channels(prune_state: PruneState,
-                    ad_per_layer: dict, from_initial: bool = True) -> PruneState:
+def update_channels(channels: dict, initial_channels: dict,
+                    ad_per_layer: dict, from_initial: bool = True) -> dict:
     """C_l <- round(C_ref * AD_l) clamped to [1, current]; C_ref is the
     original width by default (the alternative multiplies the current width)."""
-    refs = (prune_state.initial_channels if from_initial
-            else prune_state.channels)
-    return PruneState(_shrink(prune_state.channels, refs, ad_per_layer),
-                      dict(prune_state.initial_channels))
+    return _shrink(channels, initial_channels if from_initial else channels,
+                   ad_per_layer)
 
 
-def select_pruned_channels(prune_state: PruneState,
-                           per_channel_scores: dict) -> dict:
-    """Keep the C_l highest-scoring channels of each scored layer; ties
-    prefer the lower channel index. Returns {layer_id: sorted kept index
-    list}."""
+def select_pruned_channels(channels: dict, per_channel_scores: dict) -> dict:
+    """Keep the channels[l] highest-scoring channels of each scored layer;
+    ties prefer the lower channel index. Returns {layer_id: sorted kept
+    index list}."""
     kept = {}
     for lid, scores in per_channel_scores.items():
-        target = prune_state.channels[lid]
+        target = channels[lid]
         scores = np.asarray(scores, dtype=np.float64)
         if target > scores.size:
             raise InputError(
@@ -164,8 +140,7 @@ def select_pruned_channels(prune_state: PruneState,
 
 # --------------------------------------------------------- skip connections
 
-def propagate_skip_bitwidths(arch: NetworkArch,
-                             assignment: BitWidthAssignment) -> dict:
+def propagate_skip_bitwidths(arch: NetworkArch, bits: dict) -> dict:
     """Effective bit-widths after applying the skip-connection rule.
 
     Returns {"layer_bits": {weighted id: k}, "skip_edge_bits": {add id: k}}:
@@ -173,7 +148,7 @@ def propagate_skip_bitwidths(arch: NetworkArch,
     activation entering a residual-add via the skip branch is quantized at
     the destination bit-width.
     """
-    layer_bits = inherit_from_destinations(arch, assignment.k)
+    layer_bits = inherit_from_destinations(arch, bits)
     edge_bits = {add_id: layer_bits[t["destination"]]
                  for add_id, t in skip_topology(arch).items()}
     return {"layer_bits": layer_bits, "skip_edge_bits": edge_bits}
@@ -182,18 +157,17 @@ def propagate_skip_bitwidths(arch: NetworkArch,
 # ------------------------------------------------------------------ rebuild
 
 def rebuild_pruned(arch: NetworkArch, state: engine.TrainState,
-                   prune_state: PruneState, kept: dict):
+                   channels: dict, kept: dict):
     """Build a new architecture/state with only the kept channels.
 
     One pass over the layers maps each layer's input selection to its own
     with its kind's selection rule (``arch.KINDS``): a conv keeps kept[id],
-    or without a kept entry its first prune_state.channels[id] channels; a
-    flatten expands channels into features; a linear layer keeps every
-    output; a residual-add requires equal input lengths, which holds when
-    every skip edge carries a projection convolution whose count was
-    inherited from the destination layer. Parameters are sliced on axis 0
-    by the layer's selection, and a weighted layer's "w" also on axis 1 by
-    its input's.
+    or without a kept entry its first channels[id] channels; a flatten
+    expands channels into features; a linear layer keeps every output; a
+    residual-add requires equal input lengths, which holds when every skip
+    edge carries a projection convolution whose count was inherited from
+    the destination layer. Parameters are sliced on axis 0 by the layer's
+    selection, and a weighted layer's "w" also on axis 1 by its input's.
     """
     shapes = arch.infer_shapes()
     sels: dict[int, list] = {-1: list(range(arch.input_shape[0]))}
@@ -204,7 +178,7 @@ def rebuild_pruned(arch: NetworkArch, state: engine.TrainState,
         srcs = arch.input_ids(spec.id)
         ins = [sels[s] for s in srcs]
         sel = kind.select(spec, ins, [shapes[s] for s in srcs], kept,
-                          prune_state.channels)
+                          channels)
         sels[spec.id] = sel
         if kind.params:  # "w" is a weighted kind's (out, in, ...) array
             new_weights[spec.id] = {
@@ -228,18 +202,13 @@ def rebuild_pruned(arch: NetworkArch, state: engine.TrainState,
 
 # ------------------------------------------------------------- checkpoints
 
-def save_schedule_checkpoint(path, arch: NetworkArch,
-                             state: engine.TrainState,
-                             assignment: BitWidthAssignment,
-                             prune_state: PruneState | None,
-                             history: ADHistory, quantizer=None):
-    """Write a schedule checkpoint: the network, its bit-widths and channel
+def save_schedule_checkpoint(path, run: ScheduleRun, quantizer=None):
+    """Write run's checkpoint: the network, its bit-widths and channel
     counts (keyed by layer id, as strings in the JSON header), the AD
     history, and with a quantizer its activation ranges."""
     save_checkpoint(
-        path, arch, state, bits=assignment.k,
-        channels=None if prune_state is None else prune_state.channels,
-        ad_history=history.to_rows(),
+        path, run.arch, run.state, bits=run.assignment, channels=run.channels,
+        ad_history=run.ad_history.to_rows(),
         quant_state=None if quantizer is None else quantizer.state_dict())
 
 
@@ -282,8 +251,9 @@ class ScheduleRun:
     """A schedule's whole state, as run_schedule returns it."""
     arch: NetworkArch
     state: engine.TrainState
-    assignment: BitWidthAssignment
-    prune_state: PruneState | None
+    assignment: dict  # weighted layer id -> bit-width
+    channels: dict | None  # conv layer id -> channel count; None: no pruning
+    initial_channels: dict | None  # conv layer id -> original channel count
     log: ScheduleLog
     ad_history: ADHistory
     quantizer: NetworkQuantizer | None = None  # the current phase's
@@ -298,7 +268,7 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
     """Execute the full quantization (and optional pruning) schedule.
 
     iteration_callback, when given, is invoked after each completed iteration
-    as callback(iter, arch, state, assignment, prune_state, history, record).
+    as callback(run, record), with run as that iteration left it.
     """
     config.validate()
     optim = optim or engine.OptimConfig()
@@ -306,11 +276,12 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
     _keep_freed_memory()
     if config.remove_layers:
         arch = arch.drop_layers(config.remove_layers)
-    run = ScheduleRun(
-        arch, engine.init_state(arch, seed),
-        BitWidthAssignment.initial(arch, config.initial_bits),
-        PruneState.initial(arch) if config.pruning_enabled else None,
-        ScheduleLog(), ADHistory())
+    run = ScheduleRun(arch, engine.init_state(arch, seed),
+                      {i: config.initial_bits for i in arch.weighted_ids()},
+                      None, None, ScheduleLog(), ADHistory())
+    if config.pruning_enabled:
+        run.channels = {i: arch.layer(i).out_channels for i in arch.conv_ids()}
+        run.initial_channels = dict(run.channels)
 
     for it in range(1, config.max_iters + 1):
         run.quantizer = build_quantizer(run.arch, run.assignment, config,
@@ -324,9 +295,8 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
                 break
 
         record = IterationRecord(
-            iter=it, bits=dict(run.assignment.k),
-            channels=(None if run.prune_state is None
-                      else dict(run.prune_state.channels)),
+            iter=it, bits=dict(run.assignment),
+            channels=None if run.channels is None else dict(run.channels),
             epochs=run.epoch - start,
             network_ad=run.ad_history.network_ad(run.epoch,
                                                  config.network_ad_mode),
@@ -334,8 +304,7 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
             train_loss=loss)
         run.log.iterations.append(record)
         if iteration_callback is not None:
-            iteration_callback(it, run.arch, run.state, run.assignment,
-                               run.prune_state, run.ad_history, record)
+            iteration_callback(run, record)
         if not _advance(run, config):
             break
 
@@ -361,37 +330,37 @@ def _advance(run: ScheduleRun, config: ScheduleConfig) -> bool:
     destination's. Returns False at the fixed point, where nothing changed.
     Otherwise moves run to the new assignment, first rebuilding the network
     on the kept channels when the counts changed, and returns True."""
-    arch, prune = run.arch, run.prune_state
+    arch = run.arch
     ad = {lid: run.ad_history.layer_ad(lid, run.epoch)
           for lid in main_chain_weighted_ids(arch)}
-    assignment = update_bitwidths(run.assignment, ad)
-    assignment.k = inherit_from_destinations(arch, assignment.k)
-    if prune is not None:
-        prune = update_channels(prune, ad,
-                                from_initial=config.prune_from_initial)
-        prune.channels = inherit_from_destinations(arch, prune.channels)
-    chans_fixed = prune is None or prune.channels == run.prune_state.channels
-    if assignment.k == run.assignment.k and chans_fixed:
+    bits = inherit_from_destinations(
+        arch, update_bitwidths(run.assignment, ad, default_exempt(arch)))
+    channels = run.channels
+    if channels is not None:
+        channels = inherit_from_destinations(arch, update_channels(
+            channels, run.initial_channels, ad, config.prune_from_initial))
+    if bits == run.assignment and channels == run.channels:
         return False
-    if not chans_fixed:
+    if channels != run.channels:
         # skip-path convs keep their destination's channels
         kept = inherit_from_destinations(
-            arch, select_pruned_channels(prune, run.scores))
-        run.arch, run.state = rebuild_pruned(arch, run.state, prune, kept)
+            arch, select_pruned_channels(channels, run.scores))
+        run.arch, run.state = rebuild_pruned(arch, run.state, channels, kept)
         run.trackers = {}  # channel identities changed
-    run.assignment, run.prune_state = assignment, prune
+    run.assignment, run.channels = bits, channels
     return True
 
 
-def build_quantizer(arch: NetworkArch, assignment: BitWidthAssignment,
-                    config: ScheduleConfig, trackers=None) -> NetworkQuantizer:
+def build_quantizer(arch: NetworkArch, bits: dict, config: ScheduleConfig,
+                    trackers=None) -> NetworkQuantizer:
     """The one quantizer constructor: an input site per weighted layer that
-    is not exempt, at its assigned bit-width, and a skip site per residual
-    add, at its destination's. trackers, when given, holds activation
-    ranges to carry over, such as the previous phase's."""
-    sites = {("input", lid): k for lid, k in assignment.k.items()
-             if lid not in assignment.exempt}
-    edges = propagate_skip_bitwidths(arch, assignment)["skip_edge_bits"]
+    is not exempt (``default_exempt``), at its bit-width in bits, and a skip
+    site per residual add, at its destination's. trackers, when given, holds
+    activation ranges to carry over, such as the previous phase's."""
+    exempt = default_exempt(arch)
+    sites = {("input", lid): k for lid, k in bits.items()
+             if lid not in exempt}
+    edges = propagate_skip_bitwidths(arch, bits)["skip_edge_bits"]
     sites.update({("skip", add_id): k for add_id, k in edges.items()})
     return NetworkQuantizer(sites, config.act_range_mode, config.ema_decay,
                             {} if trackers is None else trackers)

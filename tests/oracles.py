@@ -11,20 +11,21 @@ training forward batch by batch (``predict``, ``eval_logits``); the graph
 walks that resolved skip connections and AD observation points per call
 (``skip_topology``, ``observation_points``); the ``reproduce`` tables that
 built each row's preset architecture for that row (``reproduce_table``);
-the schedule loop that kept its state in locals (``former_run_schedule``);
+the schedule loop that kept its state in locals, with the classes that held
+its bit-widths and channel counts (``former_run_schedule``);
 and the energy reports that costed every report's baseline afresh
 (``former_*_network_energy``, ``former_to_dict``, ``former_indent2``).
 """
 
 import functools
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from adq import reproduce as R
 from adq.admon import ADHistory
-from adq.energy import (PIM_MAC_FJ, EnergyReport, LayerEnergy, _resolve_bits,
+from adq.energy import (PIM_MAC_FJ, EnergyReport, LayerEnergy,
                         analytical_layer_energy, analytical_network_energy,
                         layer_shapes, mac_count, mem_accesses,
                         pim_network_energy, pim_round_bits,
@@ -38,12 +39,10 @@ from adq.nn.engine import forward
 from adq.nn.layers import BN_EPS
 from adq.presets import BASELINE_EPOCH_TOTALS, get_preset
 from adq.quant import QuantParams
-from adq.scheduler import (_QUIET_OVERFLOW, BitWidthAssignment,
-                           IterationRecord, PruneState, ScheduleConfig,
-                           ScheduleLog, ScheduleRun, _epoch_observer,
-                           build_quantizer, rebuild_pruned,
-                           select_pruned_channels,
-                           update_bitwidths, update_channels)
+from adq.scheduler import (_QUIET_OVERFLOW, IterationRecord, ScheduleConfig,
+                           ScheduleLog, ScheduleRun, _epoch_observer, _shrink,
+                           build_quantizer, default_exempt, rebuild_pruned,
+                           select_pruned_channels)
 
 
 def naive_conv2d(x, w, b, stride=1, padding=0):
@@ -290,7 +289,7 @@ def quantize_exact(x, k, lo, hi):
 # ------------------------------------------------ former pruning rebuild
 
 def mirroring_rebuild_pruned(arch: NetworkArch, state: engine.TrainState,
-                             prune_state: PruneState, kept: dict):
+                             channels: dict, kept: dict):
     """Build a new architecture/state with only the kept channels.
 
     Surviving channels carry their weights; input slices corresponding to
@@ -570,9 +569,63 @@ def reproduce_table(table_id) -> list:
 # The package's former ``run_schedule`` (renamed ``former_run_schedule``),
 # ``_test_accuracy`` and ``_train_epoch`` verbatim: the schedule's state in
 # locals, and the epoch body written out in both loops. It returns the
-# package's ``ScheduleRun``, whose first seven fields are the former
-# ``ScheduleResult``'s. Its ``diagnostics_dir`` option and the diverged
-# checkpoint it wrote are gone, as from ``run_schedule``.
+# package's ``ScheduleRun``. Its ``diagnostics_dir`` option and the
+# diverged checkpoint it wrote are gone, as from ``run_schedule``. The
+# classes that held its bit-widths and channel counts, with their update
+# rules, are the package's former ``BitWidthAssignment``, ``PruneState``,
+# ``update_bitwidths`` and ``update_channels`` verbatim; its calls of the
+# package's quantizer, channel selection and rebuild, its callback call and
+# the run it returns pass their dicts.
+
+@dataclass
+class BitWidthAssignment:
+    k: dict  # weighted layer id -> bit width
+    exempt: frozenset
+
+    @classmethod
+    def initial(cls, arch: NetworkArch,
+                initial_bits: int) -> "BitWidthAssignment":
+        return cls(k={i: initial_bits for i in arch.weighted_ids()},
+                   exempt=default_exempt(arch))
+
+
+@dataclass
+class PruneState:
+    channels: dict           # conv layer id -> current channel count
+    initial_channels: dict   # conv layer id -> original channel count
+
+    @classmethod
+    def initial(cls, arch: NetworkArch) -> "PruneState":
+        ch = {i: arch.layer(i).out_channels for i in arch.conv_ids()}
+        return cls(channels=dict(ch), initial_channels=dict(ch))
+
+
+def update_bitwidths(assignment: BitWidthAssignment,
+                     ad_per_layer: dict) -> BitWidthAssignment:
+    """k_l <- round(k_l * AD_l), clamped to >= 1; exempt layers unchanged."""
+    return BitWidthAssignment(
+        _shrink(assignment.k, assignment.k, ad_per_layer, assignment.exempt),
+        assignment.exempt)
+
+
+def update_channels(prune_state: PruneState,
+                    ad_per_layer: dict, from_initial: bool = True) -> PruneState:
+    """C_l <- round(C_ref * AD_l) clamped to [1, current]; C_ref is the
+    original width by default (the alternative multiplies the current width)."""
+    refs = (prune_state.initial_channels if from_initial
+            else prune_state.channels)
+    return PruneState(_shrink(prune_state.channels, refs, ad_per_layer),
+                      dict(prune_state.initial_channels))
+
+
+def _run(arch, state, assignment, prune_state, log, history, quantizer=None):
+    """The package's ScheduleRun of the former loop's locals."""
+    return ScheduleRun(
+        arch, state, assignment.k,
+        None if prune_state is None else prune_state.channels,
+        None if prune_state is None else prune_state.initial_channels,
+        log, history, quantizer)
+
 
 def former_run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
                         seed: int = 0,
@@ -581,7 +634,7 @@ def former_run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
     """Execute the full quantization (and optional pruning) schedule.
 
     iteration_callback, when given, is invoked after each completed iteration
-    as callback(iter, arch, state, assignment, prune_state, history, record).
+    as callback(run, record).
     """
     config.validate()
     optim = optim or engine.OptimConfig()
@@ -598,7 +651,7 @@ def former_run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
     epoch_global = 0
 
     for it in range(1, config.max_iters + 1):
-        quantizer = build_quantizer(arch, assignment, config, trackers)
+        quantizer = build_quantizer(arch, assignment.k, config, trackers)
         iter_epochs = []
         for _ in range(config.epoch_budget):
             epoch_global += 1
@@ -624,8 +677,8 @@ def former_run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
             train_loss=loss)
         log.iterations.append(record)
         if iteration_callback is not None:
-            iteration_callback(it, arch, state, assignment, prune_state,
-                               history, record)
+            iteration_callback(_run(arch, state, assignment, prune_state,
+                                    log, history), record)
 
         new_assignment = update_bitwidths(assignment, ad)
         new_assignment.k = inherit_from_destinations(arch, new_assignment.k)
@@ -643,13 +696,13 @@ def former_run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
         if prune_state is not None and not chans_fixed:
             # skip-path convs keep their destination's channels
             kept = inherit_from_destinations(
-                arch, select_pruned_channels(new_prune, scores))
-            arch, state = rebuild_pruned(arch, state, new_prune, kept)
+                arch, select_pruned_channels(new_prune.channels, scores))
+            arch, state = rebuild_pruned(arch, state, new_prune.channels, kept)
             trackers = {}  # channel identities changed
         assignment, prune_state = new_assignment, new_prune
 
     # final convergence phase at the fixed assignment
-    quantizer = build_quantizer(arch, assignment, config, trackers)
+    quantizer = build_quantizer(arch, assignment.k, config, trackers)
     for _ in range(config.final_convergence_epochs):
         epoch_global += 1
         log.final_epochs += 1
@@ -663,8 +716,7 @@ def former_run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
     if not config.final_convergence_epochs:
         acc = _test_accuracy(arch, state, dataset, quantizer)
     log.final_accuracy = acc
-    return ScheduleRun(arch, state, assignment, prune_state, log, history,
-                       quantizer)
+    return _run(arch, state, assignment, prune_state, log, history, quantizer)
 
 
 def _test_accuracy(arch, state, dataset, quantizer) -> float:
@@ -710,7 +762,19 @@ def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
 # layer by layer for every report, the rows summed once per total, and two
 # encoder calls per scalar item of a dict that holds a container. The
 # package's ``_CONTAINERS``, ``_SCALARS``, ``_encoder`` and ``_is_flat``,
-# which ``former_indent2`` uses, are kept here verbatim.
+# which ``former_indent2`` uses, and its ``_resolve_bits``, which read an
+# assignment's ``k`` or took a dict, are kept here verbatim.
+
+def _resolve_bits(shapes, assignment):
+    if hasattr(assignment, "k"):
+        bits = assignment.k
+    else:
+        bits = assignment
+    missing = [s.layer_id for s in shapes if s.layer_id not in bits]
+    if missing:
+        raise ConfigurationError(f"no bit-width for layers {missing}")
+    return {s.layer_id: int(bits[s.layer_id]) for s in shapes}
+
 
 def former_network_energy(model, arch, assignment, prune_state, baseline_bits,
                           cost) -> EnergyReport:

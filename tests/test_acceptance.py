@@ -19,8 +19,7 @@ from adq.nn.engine import OptimConfig
 from adq.presets import BASELINE_EPOCH_TOTALS, build_toy_cnn, get_preset
 from adq.quant import QuantParams, fake_quant, quantize
 from adq.reproduce import compute_table
-from adq.scheduler import (BitWidthAssignment, ScheduleConfig, run_schedule,
-                           update_bitwidths)
+from adq.scheduler import ScheduleConfig, run_schedule, update_bitwidths
 
 from oracles import central_difference
 
@@ -115,19 +114,16 @@ def test_criterion_6_bit_update_oracle():
     for k in range(1, 17):
         for step in range(0, 101):
             ad = step / 100.0
-            got = update_bitwidths(
-                BitWidthAssignment(k={0: k}, exempt=frozenset()),
-                {0: ad}).k[0]
+            got = update_bitwidths({0: k}, {0: ad}, frozenset())[0]
             want = max(1, min(k, math.floor(k * ad + 0.5)))
             violations += got != want
-    worked = update_bitwidths(
-        BitWidthAssignment(k={0: 16, 1: 10, 2: 8}, exempt=frozenset()),
-        {0: 0.9, 1: 0.3, 2: 0.5})
-    example_ok = [worked.k[i] for i in range(3)] == [14, 3, 4]
+    worked = update_bitwidths({0: 16, 1: 10, 2: 8}, {0: 0.9, 1: 0.3, 2: 0.5},
+                              frozenset())
+    example_ok = [worked[i] for i in range(3)] == [14, 3, 4]
     _report(6, violations == 0 and example_ok,
             f"grid 16x101 exact ({violations} violations); "
             f"{{16,10,8}} x {{0.9,0.3,0.5}} -> "
-            f"{[worked.k[i] for i in range(3)]}")
+            f"{[worked[i] for i in range(3)]}")
 
 
 def test_criterion_7_quantizer_suite():

@@ -143,6 +143,7 @@ class TestTrain:
         {"initial_bits": 17},
         {"saturation_window": 1},
         {"epoch_budget": 2, "saturation_window": 3},
+        {"final_convergence_epochs": -1},
     ])
     def test_bad_schedule_field_rejected_at_load(self, tmp_path, capsys,
                                                  schedule):
@@ -190,6 +191,10 @@ class TestTrain:
         {"schedule": {"nosie": 1}},
         {"optimizer": {"nosie": 1}},
         {"energy_model": "fast"},
+        *({field: value} for field in ("schedule", "optimizer")
+          for value in (None, 5, "ab", [1, 2])),
+        # lists of pairs that dict() would read as an object
+        {"schedule": [["max_iters", 1]]}, {"optimizer": [["lr", 0.002]]},
     ])
     def test_bad_top_level_or_optimizer_field_rejected_at_load(
             self, tmp_path, capsys, overrides):
@@ -411,7 +416,14 @@ class TestCorruptCheckpoint:
         {"bits": [8, 8]}, {"bits": {"first": 8}}, {"bits": {"0": "8"}},
         {"channels": {"0": 2.5}}, {"channels": ["2"]},
         {"channels": dict.fromkeys(["0", "2", "5", "7"], -3)},
-        {"channels": dict.fromkeys(["0", "2", "5", "7"], 0)}])
+        {"channels": dict.fromkeys(["0", "2", "5", "7"], 0)},
+        # ids that are not weighted layers (bits) or convs (channels): one
+        # past the network, a relu and the linear layer
+        {"bits": {**dict.fromkeys(["0", "2", "5", "7", "11"], 8), "99": 8}},
+        {"channels": {"99": 1}}, {"channels": {"1": 1}},
+        {"channels": {"11": 1}},
+        # more channels than the two-channel conv has
+        {"channels": {"0": 3}}, {"channels": {"0": 500}}])
     def test_bad_bits_or_channels_exit_1(self, tmp_path, capsys, header):
         path = tmp_path / "odd.ckpt"
         _small_checkpoint(path, **header)

@@ -20,7 +20,6 @@ from adq.errors import InputError
 from adq.nn.arch import NetworkArch, main_chain_weighted_ids
 from adq.presets import build_resnet18, build_toy_cnn, build_vgg19
 from adq.presets import PRESETS, assignment_map, channel_map
-from adq.scheduler import BitWidthAssignment
 
 import oracles
 
@@ -118,8 +117,7 @@ class TestPimRounding:
 class TestNetworkEnergies:
     def _toy(self):
         arch = build_toy_cnn(widths=(4, 4, 8, 8))
-        bits = BitWidthAssignment.initial(arch, 16)
-        return arch, bits
+        return arch, dict.fromkeys(arch.weighted_ids(), 16)
 
     def test_uniform16_pim_equals_closed_form(self):
         arch, bits = self._toy()
@@ -151,7 +149,7 @@ class TestNetworkEnergies:
         arch, bits = self._toy()
         conv_ids = [l.id for l in arch.layers if l.kind == "conv2d"]
         channels = {conv_ids[1]: 2}
-        rep = pim_network_energy(arch, bits.k, channels)
+        rep = pim_network_energy(arch, bits, channels)
         row = {r.layer_id: r for r in rep.rows}
         assert row[conv_ids[1]].out_channels == 2
         assert row[conv_ids[2]].in_channels == 2  # downstream slice adjusted
@@ -173,7 +171,7 @@ class TestNetworkEnergies:
 
     def test_efficiency_identities(self):
         arch, bits = self._toy()
-        rep = analytical_network_energy(arch, bits.k)
+        rep = analytical_network_energy(arch, bits)
         assert rep.efficiency == pytest.approx(1.0)
         total = rep.total_pj
         for r in rep.rows:

@@ -20,9 +20,9 @@ from adq.nn import engine
 from adq.nn.arch import LayerSpec, NetworkArch
 from adq.nn.data import synthetic_dataset
 from adq.presets import build_toy_cnn
-from adq.scheduler import (BitWidthAssignment, PruneState, ScheduleConfig,
-                           build_quantizer, inherit_from_destinations,
-                           rebuild_pruned, run_schedule)
+from adq.scheduler import (ScheduleConfig, build_quantizer,
+                           inherit_from_destinations, rebuild_pruned,
+                           run_schedule)
 
 import oracles
 
@@ -31,7 +31,7 @@ SIZES = ((300, 256), (257, 256), (9, 4), (1, 256))
 
 
 def _quantizer(arch, bits):
-    return build_quantizer(arch, BitWidthAssignment.initial(arch, bits),
+    return build_quantizer(arch, dict.fromkeys(arch.weighted_ids(), bits),
                            ScheduleConfig())
 
 
@@ -90,9 +90,8 @@ def _pruned_residual():
     _train_steps(arch, state, _quantizer(arch, 5))
     kept = inherit_from_destinations(arch, {0: [0, 2, 3, 5], 5: [1, 4, 6],
                                             8: [0, 3, 7]})
-    prune = PruneState.initial(arch)
-    prune.channels = {lid: len(sel) for lid, sel in kept.items()}
-    arch, state = rebuild_pruned(arch, state, prune, kept)
+    channels = {lid: len(sel) for lid, sel in kept.items()}
+    arch, state = rebuild_pruned(arch, state, channels, kept)
     quantizer = _quantizer(arch, 5)
     _train_steps(arch, state, quantizer, seed=1)
     assert ("skip", 10) in quantizer.sites

@@ -14,7 +14,7 @@ from adq.nn import engine
 from adq.nn.data import synthetic_dataset
 from adq.nn.engine import init_state
 from adq.presets import build_toy_cnn
-from adq.scheduler import (PruneState, ScheduleConfig,
+from adq.scheduler import (ScheduleConfig, default_exempt,
                            main_chain_weighted_ids, propagate_skip_bitwidths,
                            rebuild_pruned, run_schedule, skip_topology)
 
@@ -95,18 +95,17 @@ class TestSkipRuleInSchedule:
         assert all(t["skip_convs"] for t in topo.values())
         for t in topo.values():
             for cid in t["skip_convs"]:
-                assert res.assignment.k[cid] == \
-                    res.assignment.k[t["destination"]]
-                assert res.prune_state.channels[cid] == \
-                    res.prune_state.channels[t["destination"]]
+                assert res.assignment[cid] == \
+                    res.assignment[t["destination"]]
+                assert res.channels[cid] == res.channels[t["destination"]]
         eff = propagate_skip_bitwidths(res.arch, res.assignment)
         ran = eff["layer_bits"]
         assert res.quantizer.sites == {
             **{("input", lid): k for lid, k in ran.items()
-               if lid not in res.assignment.exempt},
+               if lid not in default_exempt(res.arch)},
             **{("skip", aid): k for aid, k in eff["skip_edge_bits"].items()}}
-        got = pim_network_energy(res.arch, res.assignment, res.prune_state)
-        want = pim_network_energy(res.arch, ran, res.prune_state)
+        got = pim_network_energy(res.arch, res.assignment, res.channels)
+        want = pim_network_energy(res.arch, ran, res.channels)
         assert got.to_dict() == want.to_dict()
 
 
@@ -133,8 +132,7 @@ def _scheduled_inputs(arch, rng):
     for t in skip_topology(arch).values():
         for cid in t["skip_convs"]:
             channels[cid] = channels[t["destination"]]
-    initial = {cid: arch.layer(cid).out_channels for cid in arch.conv_ids()}
-    return kept, PruneState(channels, initial)
+    return kept, channels
 
 
 def _same_array(a, b):
@@ -153,10 +151,10 @@ class TestRebuildParity:
         state = init_state(arch, seed)
         _randomise(state, rng)
         for _ in range(3):  # successive rebuilds, as across iterations
-            kept, ps = _scheduled_inputs(arch, rng)
-            new_arch, new_state = rebuild_pruned(arch, state, ps, kept)
+            kept, channels = _scheduled_inputs(arch, rng)
+            new_arch, new_state = rebuild_pruned(arch, state, channels, kept)
             old_arch, old_state = mirroring_rebuild_pruned(
-                arch, state, ps, dict(kept))
+                arch, state, channels, dict(kept))
             assert new_arch.to_dict() == old_arch.to_dict()
             for part in ("weights", "m", "v"):
                 new, old = getattr(new_state, part), getattr(old_state, part)
@@ -180,12 +178,11 @@ class TestPruningScores:
         calls, epoch_end = [], [0]
         select = scheduler.select_pruned_channels
 
-        def capture(prune_state, scores):
+        def capture(channels, scores):
             calls.append((epoch_end[0], dict(scores)))
-            return select(prune_state, scores)
+            return select(channels, scores)
 
-        def on_iteration(it, arch, state, assignment, prune_state, history,
-                         record):
+        def on_iteration(run, record):
             epoch_end[0] += record.epochs
 
         monkeypatch.setattr(scheduler, "select_pruned_channels", capture)
@@ -217,10 +214,10 @@ class TestPruningScores:
             seen.append((lid, epoch, np.array(acts)))
             return record(history, lid, epoch, acts)
 
-        def recording_rebuild(arch, state, prune_state, kept):
-            kept_sets.append((max(e for _, e, _ in seen),
-                              dict(prune_state.channels), kept))
-            return rebuild_pruned(arch, state, prune_state, kept)
+        def recording_rebuild(arch, state, channels, kept):
+            kept_sets.append((max(e for _, e, _ in seen), dict(channels),
+                              kept))
+            return rebuild_pruned(arch, state, channels, kept)
 
         monkeypatch.setattr(scheduler.ADHistory, "record", recording)
         monkeypatch.setattr(scheduler, "rebuild_pruned", recording_rebuild)
@@ -268,16 +265,15 @@ class TestPairedSkipChannels:
         rng = np.random.default_rng(seed)
         chosen, rebuilds = [], []
 
-        def random_selection(prune_state, scores):
+        def random_selection(channels, scores):
             kept = {lid: sorted(int(i) for i in rng.choice(
-                len(s), prune_state.channels[lid], replace=False))
+                len(s), channels[lid], replace=False))
                 for lid, s in scores.items()}
             chosen.append(kept)
             return kept
 
-        def recording_rebuild(arch, state, prune_state, kept):
-            new_arch, new_state = rebuild_pruned(arch, state, prune_state,
-                                                 kept)
+        def recording_rebuild(arch, state, channels, kept):
+            new_arch, new_state = rebuild_pruned(arch, state, channels, kept)
             rebuilds.append((arch, copy.deepcopy(state.weights), new_arch,
                              copy.deepcopy(new_state.weights)))
             return new_arch, new_state

@@ -34,8 +34,7 @@ def test_divergence_aborts_with_diagnostic_checkpoint(tmp_path):
     assert run is not None and run.epoch == 1
     from adq.nn.checkpoint import load_checkpoint
     path = str(tmp_path / "diverged.ckpt")
-    save_schedule_checkpoint(path, run.arch, run.state, run.assignment,
-                             run.prune_state, run.ad_history)
+    save_schedule_checkpoint(path, run)
     arch2, _, header = load_checkpoint(path)
     assert header["bits"]
     assert arch2.to_dict() == arch.to_dict()
@@ -123,7 +122,7 @@ def test_remove_layers_directive():
     cfg = ScheduleConfig(max_iters=1, epoch_budget=2, saturation_window=2,
                          remove_layers=(doomed_conv, relu_after))
     res = run_schedule(arch, _dataset(), cfg, seed=0)
-    assert doomed_conv not in res.assignment.k
+    assert doomed_conv not in res.assignment
     assert doomed_conv not in {l.id for l in res.arch.layers}
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from adq.nn.data import synthetic_dataset
 from adq.presets import build_toy_cnn
-from adq.scheduler import ScheduleConfig, run_schedule
+from adq.scheduler import ScheduleConfig, default_exempt, run_schedule
 
 from oracles import former_run_schedule
 from test_pruning import projection_resnet
@@ -53,6 +53,10 @@ CASES = {
 }
 
 
+def _copy(layer_map):
+    return None if layer_map is None else dict(layer_map)
+
+
 def _outcome(schedule, case):
     """Run one schedule of a case; return everything it produced, the
     arguments of each iteration_callback call included, as comparable
@@ -60,11 +64,11 @@ def _outcome(schedule, case):
     arch, ds, cfg = CASES[case]()
     calls = []
 
-    def callback(it, arch, state, assignment, prune_state, history, record):
-        calls.append((it, arch.to_dict(), _state_bytes(state),
-                      dict(assignment.k), assignment.exempt,
-                      None if prune_state is None else asdict(prune_state),
-                      history.to_rows(), asdict(record)))
+    def callback(run, record):
+        calls.append((run.arch.to_dict(), _state_bytes(run.state),
+                      dict(run.assignment), default_exempt(run.arch),
+                      _copy(run.channels), _copy(run.initial_channels),
+                      run.ad_history.to_rows(), asdict(record)))
 
     run = schedule(arch, ds, cfg, seed=0, iteration_callback=callback)
     return {
@@ -72,9 +76,8 @@ def _outcome(schedule, case):
         "log": run.log.to_dict(),
         "quant_state": run.quantizer.state_dict(),
         "ad_history": run.ad_history.to_rows(),
-        "assignment": (run.assignment.k, run.assignment.exempt),
-        "prune_state": (None if run.prune_state is None
-                        else asdict(run.prune_state)),
+        "assignment": (run.assignment, default_exempt(run.arch)),
+        "channels": (run.channels, run.initial_channels),
         "arch": run.arch.to_dict(),
         "calls": calls,
     }

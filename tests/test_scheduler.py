@@ -8,75 +8,67 @@ from adq.nn.arch import LayerSpec, NetworkArch
 from adq.nn.data import synthetic_dataset
 from adq.nn.engine import forward, init_state
 from adq.presets import build_resnet18, build_toy_cnn
-from adq.scheduler import (BitWidthAssignment, PruneState, ScheduleConfig,
-                           default_exempt, main_chain_weighted_ids,
+from adq.scheduler import (ScheduleConfig, default_exempt, main_chain_weighted_ids,
                            propagate_skip_bitwidths, rebuild_pruned,
                            run_schedule, select_pruned_channels,
                            skip_topology, update_bitwidths, update_channels)
 
 
-def _assignment(bits, exempt=()):
-    return BitWidthAssignment(k=dict(enumerate(bits)),
-                              exempt=frozenset(exempt))
+def _update(bits, ad, exempt=()):
+    return update_bitwidths(dict(enumerate(bits)), ad, frozenset(exempt))
 
 
 class TestUpdateBitwidths:
     def test_paper_worked_example(self):
-        a = _assignment([16, 10, 8])
-        out = update_bitwidths(a, {0: 0.9, 1: 0.3, 2: 0.5})
-        assert [out.k[i] for i in range(3)] == [14, 3, 4]
+        out = _update([16, 10, 8], {0: 0.9, 1: 0.3, 2: 0.5})
+        assert [out[i] for i in range(3)] == [14, 3, 4]
 
     def test_full_density_is_fixed_point(self):
-        a = _assignment([7, 3, 16])
-        out = update_bitwidths(a, {i: 1.0 for i in range(3)})
-        assert out.k == a.k
+        out = _update([7, 3, 16], {i: 1.0 for i in range(3)})
+        assert out == {0: 7, 1: 3, 2: 16}
 
     def test_exempt_layers_unchanged(self):
-        a = _assignment([16, 12, 16], exempt={0, 2})
-        out = update_bitwidths(a, {0: 0.1, 1: 0.5, 2: 0.1})
-        assert out.k[0] == 16 and out.k[2] == 16 and out.k[1] == 6
+        out = _update([16, 12, 16], {0: 0.1, 1: 0.5, 2: 0.1}, exempt={0, 2})
+        assert out[0] == 16 and out[2] == 16 and out[1] == 6
 
     def test_clamped_at_one(self):
-        a = _assignment([4])
-        out = update_bitwidths(a, {0: 0.01})
-        assert out.k[0] == 1
+        out = _update([4], {0: 0.01})
+        assert out[0] == 1
 
     def test_exhaustive_grid_matches_round_and_clamp_oracle(self):
         for k in range(1, 17):
             for ad100 in range(0, 101):
                 ad = ad100 / 100.0
-                out = update_bitwidths(_assignment([k]), {0: ad})
+                out = _update([k], {0: ad})
                 # independent oracle: round half away from zero, clamp to >= 1
                 import math
                 prop = math.floor(k * ad + 0.5)
                 want = max(1, min(k, prop))
-                assert out.k[0] == want, (k, ad)
+                assert out[0] == want, (k, ad)
 
     def test_ad_out_of_bounds_rejected(self):
         with pytest.raises(InputError):
-            update_bitwidths(_assignment([8]), {0: 1.2})
+            _update([8], {0: 1.2})
         with pytest.raises(InputError):
-            update_bitwidths(_assignment([8]), {0: -0.1})
+            _update([8], {0: -0.1})
 
     def test_never_increases(self):
         rng = np.random.default_rng(0)
-        a = _assignment([16] * 6)
+        bits = dict.fromkeys(range(6), 16)
         for _ in range(5):
             ad = {i: float(rng.uniform(0, 1)) for i in range(6)}
-            nxt = update_bitwidths(a, ad)
-            assert all(nxt.k[i] <= a.k[i] for i in range(6))
-            a = nxt
+            nxt = update_bitwidths(bits, ad, frozenset())
+            assert all(nxt[i] <= bits[i] for i in range(6))
+            bits = nxt
 
 
 class TestUpdateChannels:
     def test_full_density_keeps_width(self):
-        ps = PruneState({0: 64}, {0: 64})
-        assert update_channels(ps, {0: 1.0}).channels[0] == 64
+        assert update_channels({0: 64}, {0: 64}, {0: 1.0})[0] == 64
 
     def test_table_consistency_64_to_19(self):
         # 19-channel layer from a 64-wide one is consistent with AD ~ 0.297
-        ps = PruneState({0: 64}, {0: 64})
-        assert update_channels(ps, {0: 0.297}).channels[0] == 19
+        assert update_channels({0: 64}, {0: 64}, {0: 0.297})[0] == 19
 
     def test_random_pairs_match_oracle(self):
         import math
@@ -84,44 +76,43 @@ class TestUpdateChannels:
         for _ in range(300):
             c = int(rng.integers(1, 512))
             ad = float(rng.uniform(0, 1))
-            ps = PruneState({0: c}, {0: c})
-            got = update_channels(ps, {0: ad}).channels[0]
+            got = update_channels({0: c}, {0: c}, {0: ad})[0]
             want = max(1, min(c, math.floor(c * ad + 0.5)))
             assert got == want
 
     def test_multiplier_is_initial_width(self):
         # after shrinking, a recovered density re-derives from the original
-        ps = PruneState({0: 64}, {0: 64})
-        ps = update_channels(ps, {0: 0.25})
-        assert ps.channels[0] == 16
-        ps = update_channels(ps, {0: 0.2})
-        assert ps.channels[0] == 13  # round(64 * 0.2), not round(16 * 0.2)
+        initial = {0: 64}
+        channels = update_channels(initial, initial, {0: 0.25})
+        assert channels[0] == 16
+        channels = update_channels(channels, initial, {0: 0.2})
+        assert channels[0] == 13  # round(64 * 0.2), not round(16 * 0.2)
 
     def test_alternative_current_multiplier(self):
-        ps = PruneState({0: 64}, {0: 64})
-        ps = update_channels(ps, {0: 0.25}, from_initial=False)
-        ps = update_channels(ps, {0: 0.25}, from_initial=False)
-        assert ps.channels[0] == 4  # 64 -> 16 -> 4
+        initial = {0: 64}
+        channels = update_channels(initial, initial, {0: 0.25},
+                                   from_initial=False)
+        channels = update_channels(channels, initial, {0: 0.25},
+                                   from_initial=False)
+        assert channels[0] == 4  # 64 -> 16 -> 4
 
     def test_never_increases(self):
-        ps = PruneState({0: 10}, {0: 64})
-        assert update_channels(ps, {0: 1.0}).channels[0] == 10
+        assert update_channels({0: 10}, {0: 64}, {0: 1.0})[0] == 10
 
 
 class TestSelectChannels:
     def test_identity_when_nothing_pruned(self):
-        ps = PruneState({0: 4}, {0: 4})
-        kept = select_pruned_channels(ps, {0: np.array([0.1, 0.9, 0.5, 0.2])})
+        kept = select_pruned_channels({0: 4},
+                                      {0: np.array([0.1, 0.9, 0.5, 0.2])})
         assert kept[0] == [0, 1, 2, 3]
 
     def test_top2_by_score(self):
-        ps = PruneState({0: 2}, {0: 3})
-        kept = select_pruned_channels(ps, {0: np.array([0.9, 0.1, 0.5])})
+        kept = select_pruned_channels({0: 2}, {0: np.array([0.9, 0.1, 0.5])})
         assert kept[0] == [0, 2]
 
     def test_ties_prefer_lower_index(self):
-        ps = PruneState({0: 2}, {0: 4})
-        kept = select_pruned_channels(ps, {0: np.array([0.5, 0.5, 0.5, 0.5])})
+        kept = select_pruned_channels({0: 2},
+                                      {0: np.array([0.5, 0.5, 0.5, 0.5])})
         assert kept[0] == [0, 1]
 
     def test_matches_sort_oracle(self):
@@ -130,23 +121,21 @@ class TestSelectChannels:
             n = int(rng.integers(2, 40))
             c = int(rng.integers(1, n + 1))
             scores = rng.uniform(size=n)
-            ps = PruneState({0: c}, {0: n})
-            kept = set(select_pruned_channels(ps, {0: scores})[0])
+            kept = set(select_pruned_channels({0: c}, {0: scores})[0])
             want = set(sorted(range(n), key=lambda i: (-scores[i], i))[:c])
             assert kept == want
 
     def test_too_few_channels_is_an_input_error(self):
-        ps = PruneState({0: 5}, {0: 5})
         with pytest.raises(InputError, match="want 5 channels"):
-            select_pruned_channels(ps, {0: np.array([1.0, 0.5])})
+            select_pruned_channels({0: 5}, {0: np.array([1.0, 0.5])})
 
 
 class TestSkipPropagation:
     def test_no_skips_identity(self):
         arch = build_toy_cnn()
-        a = BitWidthAssignment.initial(arch, 16)
-        eff = propagate_skip_bitwidths(arch, a)
-        assert eff["layer_bits"] == a.k
+        bits = dict.fromkeys(arch.weighted_ids(), 16)
+        eff = propagate_skip_bitwidths(arch, bits)
+        assert eff["layer_bits"] == bits
         assert eff["skip_edge_bits"] == {}
 
     def test_skip_edge_uses_destination_bits(self):
@@ -163,8 +152,7 @@ class TestSkipPropagation:
             LayerSpec(id=6, kind="flatten"),
             LayerSpec(id=7, kind="linear", in_channels=2, out_channels=2),
         ], (1, 4, 4), 2)
-        a = BitWidthAssignment(k={0: 16, 2: 4, 7: 16}, exempt=frozenset({0, 7}))
-        eff = propagate_skip_bitwidths(arch, a)
+        eff = propagate_skip_bitwidths(arch, {0: 16, 2: 4, 7: 16})
         assert eff["skip_edge_bits"][3] == 4  # destination conv's width
 
     def test_resnet_projection_convs_inherit_destination(self):
@@ -173,8 +161,7 @@ class TestSkipPropagation:
         main = main_chain_weighted_ids(arch)
         bits = {lid: int(b) for lid, b in
                 zip(main, [16] + list(range(2, 18)) + [16])}
-        a = BitWidthAssignment(k=bits, exempt=frozenset())
-        eff = propagate_skip_bitwidths(arch, a)
+        eff = propagate_skip_bitwidths(arch, bits)
         topo = skip_topology(arch)
         assert len(topo) == 8
         for add_id, t in topo.items():
@@ -218,9 +205,8 @@ class TestRebuild:
     def test_weights_carried_for_surviving_channels(self):
         arch = self._feedforward()
         state = init_state(arch, 0)
-        ps = PruneState({0: 2, 2: 3}, {0: 4, 2: 6})
         kept = {0: [1, 3], 2: [0, 2, 5]}
-        new_arch, new_state = rebuild_pruned(arch, state, ps, kept)
+        new_arch, new_state = rebuild_pruned(arch, state, {0: 2, 2: 3}, kept)
         assert new_arch.layer(0).out_channels == 2
         assert new_arch.layer(2).in_channels == 2
         want = state.weights[2]["w"][np.ix_([0, 2, 5], [1, 3])]
@@ -237,8 +223,7 @@ class TestRebuild:
             LayerSpec(id=3, kind="linear", in_channels=3 * 16, out_channels=2),
         ], (1, 4, 4), 2)
         state = init_state(arch, 0)
-        ps = PruneState({0: 2}, {0: 3})
-        new_arch, new_state = rebuild_pruned(arch, state, ps, {0: [0, 2]})
+        new_arch, new_state = rebuild_pruned(arch, state, {0: 2}, {0: [0, 2]})
         assert new_arch.layer(3).in_channels == 32
         want_cols = list(range(0, 16)) + list(range(32, 48))
         assert np.array_equal(new_state.weights[3]["w"],
@@ -257,8 +242,7 @@ class TestRebuild:
             LayerSpec(id=5, kind="linear", in_channels=5, out_channels=2),
         ], (1, 4, 4), 2)
         state = init_state(arch, 0)
-        ps = PruneState({0: 2}, {0: 3})
-        new_arch, new_state = rebuild_pruned(arch, state, ps, {0: [0, 2]})
+        new_arch, new_state = rebuild_pruned(arch, state, {0: 2}, {0: [0, 2]})
         assert new_arch.layer(3).in_channels == 32
         assert new_arch.layer(5).in_channels == 5
         assert np.array_equal(new_state.weights[5]["w"],
@@ -272,12 +256,12 @@ class TestRebuild:
         arch = self._feedforward()
         for _ in range(10):
             state = init_state(arch, 0)
-            ps = PruneState({0: 4, 2: 6}, {0: 4, 2: 6})
+            initial = {0: 4, 2: 6}
             ad = {0: float(rng.uniform()), 2: float(rng.uniform())}
-            ps = update_channels(ps, ad)
+            channels = update_channels(initial, initial, ad)
             scores = {0: rng.uniform(size=4), 2: rng.uniform(size=6)}
-            kept = select_pruned_channels(ps, scores)
-            new_arch, new_state = rebuild_pruned(arch, state, ps, kept)
+            kept = select_pruned_channels(channels, scores)
+            new_arch, new_state = rebuild_pruned(arch, state, channels, kept)
             x = rng.normal(size=(2, 1, 6, 6))
             logits, _ = forward(new_arch, new_state, x)
             assert logits.shape == (2, 3)
@@ -296,9 +280,8 @@ class TestRebuild:
             LayerSpec(id=7, kind="linear", in_channels=4, out_channels=2),
         ], (1, 4, 4), 2)
         state = init_state(arch, 0)
-        ps = PruneState({0: 4, 2: 2}, {0: 4, 2: 4})
         with pytest.raises(ConfigurationError, match="projection"):
-            rebuild_pruned(arch, state, ps, {2: [0, 1]})
+            rebuild_pruned(arch, state, {0: 4, 2: 2}, {2: [0, 1]})
 
 
 class TestRunSchedule:
@@ -370,7 +353,7 @@ class TestRunSchedule:
         finally:
             run_schedule.__globals__["engine"].init_state = eng_init
         dead = arch.weighted_ids()[2]
-        assert res.assignment.k[dead] == 1
+        assert res.assignment[dead] == 1
 
     def test_fixed_point_terminates_before_budget(self):
         # density locked at 1.0 keeps bits unchanged: stops after iteration 1

@@ -11,7 +11,7 @@ from adq.nn.data import iter_batches, synthetic_dataset
 from adq.nn.engine import (OptimConfig, accuracy, backward, forward,
                            init_state, loss_softmax_xent, optimizer_step)
 from adq.presets import build_toy_cnn
-from adq.scheduler import BitWidthAssignment, ScheduleConfig, build_quantizer
+from adq.scheduler import ScheduleConfig, build_quantizer
 from oracles import softmax_xent_direct
 
 
@@ -186,7 +186,7 @@ def test_16bit_training_matches_unquantized_within_half_point():
         quant = None
         if mode == "quant16":
             quant = build_quantizer(arch,
-                                    BitWidthAssignment.initial(arch, 16),
+                                    dict.fromkeys(arch.weighted_ids(), 16),
                                     ScheduleConfig())
         cfg = OptimConfig(lr=2e-3)
         for _ in range(8):
