@@ -105,14 +105,16 @@ def cmd_train(args) -> int:
         *(f"energy_iter{it}_{model}.{ext}" for it in iters
           for model in models for ext in ("json", "csv")))))
 
-    energy_rows = []
+    energy_rows, trained = [], []  # trained: each iteration's network
 
     def on_iteration(run, record):
         it = record.iter
         save_schedule_checkpoint(out(f"checkpoint_iter{it}.ckpt"), run)
-        for model in models:  # against uniform 16-bit
-            rep = _energy_report(model, run.arch, run.assignment, run.channels,
-                                 16)
+        trained.append(run.arch)
+        for model in models:  # against uniform 16-bit on the unpruned
+            # network iteration 1 trained; its rebuilds keep its layer ids
+            rep = _energy_report(model, trained[0], run.assignment,
+                                 run.channels, 16)
             _write_report(rep, out(f"energy_iter{it}_{model}"))
             energy_rows.append((it, model, rep.efficiency))
 

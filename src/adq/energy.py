@@ -85,13 +85,17 @@ def layer_shapes(arch: NetworkArch, channels=None) -> list[LayerShape]:
     `channels` optionally overrides conv output channel counts
     ({layer_id: count}); input channel counts and downstream feature sizes
     follow (see NetworkArch.infer_shapes), so pruned models are costed at
-    their pruned shapes. The unpruned list is resolved once per architecture
-    and kept on it; each call returns a fresh list, and each pruned call
-    walks the network again.
+    their pruned shapes. The unpruned list is kept in the architecture's
+    memo; each call returns a fresh list, and each pruned call walks the
+    network again.
     """
-    if channels is None and arch._layer_shapes is not None:
-        return list(arch._layer_shapes)
-    shapes = arch.infer_shapes(channels)
+    if channels is None:
+        return list(arch.kept("layer_shapes", lambda: tuple(
+            _shape_records(arch, arch.infer_shapes()))))
+    return _shape_records(arch, arch.infer_shapes(channels))
+
+
+def _shape_records(arch, shapes) -> list[LayerShape]:
     out = []
     for spec in arch.layers:
         if spec.kind == "conv2d":
@@ -103,8 +107,6 @@ def layer_shapes(arch: NetworkArch, channels=None) -> list[LayerShape]:
             (i,) = shapes[arch.input_ids(spec.id)[0]]
             (o,) = shapes[spec.id]
             out.append(LayerShape(spec.id, "linear", n=1, m=1, p=1, i=i, o=o))
-    if channels is None:
-        arch._layer_shapes = tuple(out)
     return out
 
 
@@ -197,7 +199,7 @@ def _network_energy(model, arch, bits, channels, baseline_bits,
     (the PIM precision or None, energy in pJ), and each row's counts are
     computed once. The baseline is uniform `baseline_bits`, unpruned, over
     the same layer set. Its total depends on the architecture alone, so it
-    is costed on first use and kept on the arch by (model, baseline_bits)."""
+    is kept in the architecture's memo by (model, baseline_bits)."""
     shapes = layer_shapes(arch, channels)
     missing = [s.layer_id for s in shapes if s.layer_id not in bits]
     if missing:
@@ -209,14 +211,10 @@ def _network_energy(model, arch, bits, channels, baseline_bits,
         pim_k, energy_pj = cost(n_mem, n_mac, k)
         rows.append(LayerEnergy(s.layer_id, s.kind, k, pim_k, s.i, s.o,
                                 n_mem, n_mac, energy_pj, k == 1))
-    key = (model, baseline_bits)
-    baseline_pj = arch._baseline_pj.get(key)
-    if baseline_pj is None:
-        # an unpruned report is costed at the baseline's own shapes
-        base_shapes = shapes if channels is None else layer_shapes(arch)
-        baseline_pj = arch._baseline_pj[key] = sum(
-            cost(mem_accesses(s), mac_count(s), baseline_bits)[1]
-            for s in base_shapes)
+    # an unpruned report is costed at the baseline's own shapes
+    baseline_pj = arch.kept(("baseline_pj", model, baseline_bits), lambda: sum(
+        cost(mem_accesses(s), mac_count(s), baseline_bits)[1]
+        for s in (shapes if channels is None else layer_shapes(arch))))
     return EnergyReport(model, rows, baseline_pj, baseline_bits)
 
 

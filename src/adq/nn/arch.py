@@ -9,12 +9,15 @@ through a pruning rebuild. Spec validation, ``infer_shapes``, the engine's
 ``init_state``/``forward``/``backward``, the energy model and pruning's
 ``rebuild_pruned`` all read it; a new kind is added there and nowhere else.
 
-A network is an ordered list of layers. Each layer consumes the output of the
-previous layer unless it carries a ``skip_source``:
+A network is an ordered tuple of layers. Each layer consumes the output of
+the previous layer unless it carries a ``skip_source``:
 
 * ``residual-add``: output = previous-layer output + output of ``skip_source``.
 * any other kind: the layer reads its input from ``skip_source`` instead of
   the previous layer (used to start a projection branch on a skip path).
+
+A ``NetworkArch`` is frozen, and what is derived from it alone is computed
+once, on first use, and kept in its memo (``NetworkArch.kept``).
 """
 
 from __future__ import annotations
@@ -235,42 +238,38 @@ class LayerSpec:
                 f"layer {self.id}: {self.kind} requires skip_source")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkArch:
-    layers: list[LayerSpec]
+    """A network's layers, in order, its input shape and its class count.
+
+    An architecture is frozen: pruning and drop_layers build a new one. So
+    the facts derived from it alone (its hash, unpruned shapes, skip
+    topology, main chain, and energy's layer shapes and baseline totals)
+    are computed once, on first use, and kept in its memo (see kept).
+    """
+    layers: tuple[LayerSpec, ...]
     input_shape: tuple[int, int, int]  # (channels, height, width)
     num_classes: int
-    _index: dict[int, int] = field(default_factory=dict, repr=False)
-    _inputs: dict[int, tuple] = field(default_factory=dict, init=False,
-                                      repr=False, compare=False)
-    _hash: str | None = field(default=None, init=False, repr=False,
-                              compare=False)
-    _shapes: dict | None = field(default=None, init=False, repr=False,
-                                 compare=False)
-    _skips: dict | None = field(default=None, init=False, repr=False,
-                                compare=False)
-    # energy.layer_shapes(arch) and main_chain_weighted_ids(arch), unpruned
-    _layer_shapes: tuple | None = field(default=None, init=False, repr=False,
-                                        compare=False)
-    _main_chain: tuple | None = field(default=None, init=False, repr=False,
-                                      compare=False)
-    # energy's uniform-baseline report totals in pJ, keyed by
-    # (model, baseline_bits): each is costed once per arch, on first use
-    _baseline_pj: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
-        self.input_shape = tuple(self.input_shape)
-        self._index = {l.id: i for i, l in enumerate(self.layers)}
-        if len(self._index) != len(self.layers):
-            raise ConfigurationError("duplicate layer ids")
+        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "input_shape", tuple(self.input_shape))
         self.validate()
 
+    def kept(self, key, compute: Callable):
+        """The derived fact `key`: compute() on first use, then the value
+        kept in the memo. Callers must not edit it."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     def layer(self, layer_id: int) -> LayerSpec:
-        return self.layers[self._index[layer_id]]
+        return self.layers[self._memo["index"][layer_id]]
 
     def position(self, layer_id: int) -> int:
-        return self._index[layer_id]
+        return self._memo["index"][layer_id]
 
     def weighted_ids(self) -> list[int]:
         return [l.id for l in self.layers if l.weighted]
@@ -280,28 +279,28 @@ class NetworkArch:
 
     def input_ids(self, layer_id: int) -> tuple:
         """Resolved data-flow inputs of a layer (-1 denotes the network input)."""
-        return self._inputs[layer_id]
+        return self._memo["inputs"][layer_id]
 
     def validate(self):
-        seen = set()
-        prev = -1
+        index = {l.id: i for i, l in enumerate(self.layers)}
+        if len(index) != len(self.layers):
+            raise ConfigurationError("duplicate layer ids")
+        # resolved once: shape inference and the energy model ask per layer
+        inputs, prev = {}, -1
         for spec in self.layers:
             spec.validate()
-            if spec.skip_source is not None:
-                if spec.skip_source not in seen:
-                    raise ConfigurationError(
-                        f"layer {spec.id}: skip_source {spec.skip_source} is not an "
-                        "earlier layer"
-                    )
-            # resolved once: shape inference and the energy model ask per layer
+            if spec.skip_source is not None and spec.skip_source not in inputs:
+                raise ConfigurationError(
+                    f"layer {spec.id}: skip_source {spec.skip_source} is not "
+                    "an earlier layer")
             if KINDS[spec.kind].inputs == 2:
-                self._inputs[spec.id] = (prev, spec.skip_source)
+                inputs[spec.id] = (prev, spec.skip_source)
             elif spec.skip_source is not None:
-                self._inputs[spec.id] = (spec.skip_source,)
+                inputs[spec.id] = (spec.skip_source,)
             else:
-                self._inputs[spec.id] = (prev,)
+                inputs[spec.id] = (prev,)
             prev = spec.id
-            seen.add(spec.id)
+        self._memo.update(index=index, inputs=inputs)
         self.infer_shapes()
 
     def infer_shapes(self, channels=None) -> dict[int, tuple]:
@@ -311,17 +310,19 @@ class NetworkArch:
         with -1 for the network input. `channels` ({conv id: out channels})
         costs a pruned configuration on this architecture: overridden convs
         produce that many channels, and downstream input channel and feature
-        counts follow the propagated shapes instead of the specs.
-        Raises ConfigurationError naming the first inconsistent layer.
+        counts follow the propagated shapes instead of the specs. The
+        unpruned shapes are kept from validation; each call returns a fresh
+        map. Raises ConfigurationError naming the first inconsistent layer.
         """
-        # the unpruned shapes are kept from validation: specs are frozen and
-        # archs are never edited in place
-        if channels is None and self._shapes is not None:
-            return dict(self._shapes)
+        if channels is None:
+            return dict(self.kept("shapes", lambda: self._walk(None)))
+        return self._walk(channels)
+
+    def _walk(self, channels) -> dict[int, tuple]:
         shapes: dict[int, tuple] = {-1: self.input_shape}
         resolve = shapes.__getitem__
         for spec in self.layers:
-            ins = [*map(resolve, self._inputs[spec.id])]
+            ins = [*map(resolve, self.input_ids(spec.id))]
             try:
                 shapes[spec.id] = KINDS[spec.kind].out_shape(spec, ins, channels)
             except ConfigurationError as exc:
@@ -334,19 +335,14 @@ class NetworkArch:
                 f"final layer {last.id} produces shape {out}, expected "
                 f"({self.num_classes},)"
             )
-        if channels is None:
-            self._shapes = dict(shapes)
         return shapes
 
     def arch_hash(self) -> str:
-        # Computed on first use, not at construction: most archs (the preset
-        # catalog's) are never hashed. Specs are frozen and archs are never
-        # edited in place, so the cached value cannot go stale.
-        if self._hash is None:
-            self._hash = hashlib.sha256(
-                json.dumps(self.to_dict(), sort_keys=True).encode()
-            ).hexdigest()[:16]
-        return self._hash
+        # on first use, not at construction: most archs (the preset
+        # catalog's) are never hashed
+        return self.kept("hash", lambda: hashlib.sha256(
+            json.dumps(self.to_dict(), sort_keys=True).encode()
+        ).hexdigest()[:16])
 
     def to_dict(self) -> dict:
         recs = []
@@ -400,7 +396,7 @@ class NetworkArch:
     def drop_layers(self, layer_ids) -> "NetworkArch":
         """Return a copy with the given layers removed (shape-revalidated)."""
         doomed = set(layer_ids)
-        missing = doomed - set(self._index)
+        missing = doomed - set(self._memo["index"])
         if missing:
             raise ConfigurationError(f"cannot remove unknown layers {sorted(missing)}")
         kept = [l for l in self.layers if l.id not in doomed]
@@ -420,23 +416,25 @@ def skip_topology(arch: NetworkArch) -> dict:
 
     A layer's chain is the weighted layers on its input-0 path. An add's
     destination ends its main input's chain; its skip convs are its skip
-    input's chain less the main one. Resolved in one pass on first use and
-    kept on the architecture; callers must not edit the result.
+    input's chain less the main one. Resolved in one pass and kept in the
+    architecture's memo; callers must not edit the result.
     """
-    if arch._skips is None:
-        chains, info = {-1: ()}, {}
-        for spec in arch.layers:
-            main, *skip = [chains[src] for src in arch.input_ids(spec.id)]
-            chains[spec.id] = main + (spec.id,) if spec.weighted else main
-            if not skip:
-                continue
-            if not main:
-                raise ConfigurationError(f"layer {spec.id}: residual-add has "
-                                         "no weighted main ancestor")
-            info[spec.id] = {"destination": main[-1], "skip_convs": [
-                cid for cid in reversed(skip[0]) if cid not in main]}
-        arch._skips = info
-    return arch._skips
+    return arch.kept("skips", lambda: _resolve_skips(arch))
+
+
+def _resolve_skips(arch: NetworkArch) -> dict:
+    chains, info = {-1: ()}, {}
+    for spec in arch.layers:
+        main, *skip = [chains[src] for src in arch.input_ids(spec.id)]
+        chains[spec.id] = main + (spec.id,) if spec.weighted else main
+        if not skip:
+            continue
+        if not main:
+            raise ConfigurationError(f"layer {spec.id}: residual-add has "
+                                     "no weighted main ancestor")
+        info[spec.id] = {"destination": main[-1], "skip_convs": [
+            cid for cid in reversed(skip[0]) if cid not in main]}
+    return info
 
 
 def inherit_from_destinations(arch: NetworkArch, values: dict) -> dict:
@@ -454,11 +452,10 @@ def inherit_from_destinations(arch: NetworkArch, values: dict) -> dict:
 
 def main_chain_weighted_ids(arch: NetworkArch) -> list[int]:
     """Weighted layers excluding those on skip paths (which carry no
-    densities of their own). Resolved once per architecture and kept on it;
-    each call returns a fresh list."""
-    if arch._main_chain is None:
+    densities of their own). Kept in the architecture's memo; each call
+    returns a fresh list."""
+    def resolve():
         on_skip = {cid for t in skip_topology(arch).values()
                    for cid in t["skip_convs"]}
-        arch._main_chain = tuple(
-            i for i in arch.weighted_ids() if i not in on_skip)
-    return list(arch._main_chain)
+        return tuple(i for i in arch.weighted_ids() if i not in on_skip)
+    return list(arch.kept("main_chain", resolve))

@@ -371,32 +371,30 @@ def _epoch_observer(arch: NetworkArch, history: ADHistory, epoch: int,
     """The AD observers of one epoch: {observed layer id: callable(output)}
     for the engine's observe map, and the dict they count into.
 
-    Each observer records its activation into history under the main-chain
-    weighted layers observed there. When prune is set it also counts, into
-    the returned dict, each such conv's positive values per channel:
+    Each observer records its activation into history under the one
+    main-chain weighted layer observed there (observation_points is
+    one-to-one). When prune is set it also counts, into the returned dict,
+    that conv's positive values per channel:
     {conv id: (positives per channel, values per channel)}. The observed
     tensor is 4-D, or flattened channel-major after a flatten; either way
     it reshapes to (samples, the conv's channels, values per channel).
     """
     points = observation_points(arch)
-    by_obs = {}
-    for wid in main_chain_weighted_ids(arch):
-        by_obs.setdefault(points[wid], []).append(wid)
     channels = ({i: arch.layer(i).out_channels for i in arch.conv_ids()}
                 if prune else {})
     counts = {}
 
-    def record(wids, tensor):
-        for wid in wids:
-            history.record(wid, epoch, tensor)
-            if wid in channels:
-                c = channels[wid]
-                positive = tensor.reshape(len(tensor), c, -1) > 0
-                pos, n = counts.get(wid, (0, 0))
-                counts[wid] = (pos + positive.sum(axis=(0, 2)),
-                               n + tensor.size // c)
+    def record(wid, tensor):
+        history.record(wid, epoch, tensor)
+        if wid in channels:
+            c = channels[wid]
+            positive = tensor.reshape(len(tensor), c, -1) > 0
+            pos, n = counts.get(wid, (0, 0))
+            counts[wid] = (pos + positive.sum(axis=(0, 2)),
+                           n + tensor.size // c)
 
-    return {obs: partial(record, wids) for obs, wids in by_obs.items()}, counts
+    return {points[wid]: partial(record, wid)
+            for wid in main_chain_weighted_ids(arch)}, counts
 
 
 def _keep_freed_memory():

@@ -125,6 +125,39 @@ class TestTrain:
         # the run tells the two rules apart
         assert rules_differ
 
+    def test_pruning_run_reports_against_the_unpruned_network(self,
+                                                             tmp_path):
+        cfg_path, outdir = _write_config(
+            tmp_path, {"schedule": {"pruning_enabled": True, "max_iters": 3}})
+        assert main(["train", "-c", str(cfg_path)]) == 0
+        with open(os.path.join(outdir, "schedule_log.json")) as f:
+            log = json.load(f)
+        arch = build_toy_cnn(**{k: v for k, v in TOY_CONFIG["arch"].items()
+                                if k != "kind"})
+        costs = {"analytical": analytical_network_energy,
+                 "pim": pim_network_energy}
+        rows = log["iterations"]
+        assert len(rows) >= 2 and rows[-1]["channels"] != rows[0]["channels"]
+        ratios = {(r["iter"], r["model"]): r["ratio"]
+                  for r in log["energy_efficiency"]}
+        assert len(ratios) == 2 * len(rows)
+        for rec in rows:
+            bits = {int(i): k for i, k in rec["bits"].items()}
+            channels = {int(i): c for i, c in rec["channels"].items()}
+            for model, cost in costs.items():
+                with open(os.path.join(
+                        outdir, f"energy_iter{rec['iter']}_{model}.json")) as f:
+                    report = json.load(f)
+                with open(os.path.join(outdir,
+                                       f"energy_iter1_{model}.json")) as f:
+                    first = json.load(f)
+                want = cost(arch, bits, channels)
+                assert (report["baseline_total_pj"]
+                        == first["baseline_total_pj"]
+                        == want.baseline_total_pj)
+                assert report["efficiency_ratio"] == want.efficiency
+                assert ratios[rec["iter"], model] == want.efficiency
+
     @pytest.mark.parametrize("schedule", [
         {"batch_size": 0},
         {"network_ad_mode": "Mean"},

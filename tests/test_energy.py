@@ -428,7 +428,7 @@ class TestResolvedOncePerArch:
 
         def counting(self, channels=None):
             # a call walks unless it returns the shapes kept at validation
-            if channels is None and self._shapes is not None:
+            if channels is None and "shapes" in self._memo:
                 kept.append(self)
             else:
                 walks.append(channels)

@@ -2,6 +2,9 @@
 held to the former per-call graph walks (``oracles.skip_topology`` and
 ``oracles.observation_points``)."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,9 @@ def test_observation_points_match_former_walk(name):
     # the dropped flag is implied: a layer observes itself or a relu
     for wid, (obs, is_relu) in former.items():
         assert is_relu == (obs != wid)
+    # one-to-one: an epoch observer records under one weighted layer
+    points = observation_points(arch)
+    assert len(set(points.values())) == len(points)
 
 
 def test_removed_vgg_conv_changes_the_sites():
@@ -136,3 +142,17 @@ def test_add_without_weighted_main_ancestor_builds_and_runs():
         with pytest.raises(ConfigurationError) as got:
             skip_topology(arch)
         assert str(got.value) == str(former.value)
+
+
+def test_arch_is_frozen():
+    arch = build_toy_cnn()
+    assert isinstance(arch.layers, tuple)
+    assert list(inspect.signature(NetworkArch).parameters) == [
+        "layers", "input_shape", "num_classes"]
+    for name, value in (("layers", ()), ("input_shape", (1, 4, 4)),
+                        ("num_classes", 3), ("_memo", {})):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(arch, name, value)
+    with pytest.raises(TypeError):
+        NetworkArch(arch.layers, arch.input_shape, arch.num_classes,
+                    _index={})
