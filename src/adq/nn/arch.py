@@ -3,11 +3,12 @@ inference, skip connections, JSON I/O.
 
 ``KINDS`` is the one place that defines a layer kind. Its entry says which
 spec fields the kind reads, how it transforms its input shape, which
-parameters it holds, trains and how they are initialised, and which kernel
-pair in ``adq.nn.layers`` runs it, and how it carries surviving channels
-through a pruning rebuild. Spec validation, ``infer_shapes``, the engine's
-``init_state``/``forward``/``backward``, the energy model and pruning's
-``rebuild_pruned`` all read it; a new kind is added there and nowhere else.
+parameters it holds and trains, their shapes and how they are initialised,
+which kernel pair in ``adq.nn.layers`` runs it, and how it carries
+surviving channels through a pruning rebuild. Spec validation,
+``infer_shapes``, the engine's ``init_state``/``forward``/``backward``,
+checkpoint loading, the energy model and pruning's ``rebuild_pruned`` all
+read it; a new kind is added there and nowhere else.
 
 A network is an ordered tuple of layers. Each layer consumes the output of
 the previous layer unless it carries a ``skip_source``:
@@ -135,23 +136,31 @@ def _add_selection(spec, sels, shapes, kept, channels):
     return main
 
 
-def _he_weights(wshape, rng):
+def _conv_shapes(spec, shape):
+    out = spec.out_channels
+    return {"w": (out, spec.in_channels, spec.kernel, spec.kernel),
+            "b": (out,)}
+
+
+def _linear_shapes(spec, shape):
+    return {"w": (spec.out_channels, spec.in_channels),
+            "b": (spec.out_channels,)}
+
+
+def _bn_shapes(spec, shape):
+    return dict.fromkeys(("gamma", "beta", "running_mean", "running_var"),
+                         shape[:1])
+
+
+def _he_init(shapes, rng):
     """He-normal weights (fan-in: every axis but the first) and a zero bias."""
+    wshape = shapes["w"]
     return {"w": rng.normal(0.0, np.sqrt(2.0 / math.prod(wshape[1:])), wshape),
-            "b": np.zeros(wshape[0])}
+            "b": np.zeros(shapes["b"])}
 
 
-def _conv_init(spec, shape, rng):
-    return _he_weights((spec.out_channels, spec.in_channels, spec.kernel,
-                        spec.kernel), rng)
-
-
-def _linear_init(spec, shape, rng):
-    return _he_weights((spec.out_channels, spec.in_channels), rng)
-
-
-def _bn_init(spec, shape, rng):
-    c = shape[0]
+def _bn_init(shapes, rng):
+    (c,) = shapes["gamma"]
     return {"gamma": np.ones(c), "beta": np.zeros(c),
             "running_mean": np.zeros(c), "running_var": np.ones(c)}
 
@@ -172,7 +181,9 @@ class LayerKind:
     inputs: int = 1        # 2: the previous layer, then skip_source
     params: tuple = ()     # parameter names, in forward-kernel order
     trainable: tuple = ()  # the parameters the optimizer updates
-    init: Callable | None = None  # (spec, output shape, rng) -> parameters
+    # (spec, output shape) -> {parameter name: shape}
+    shapes: Callable | None = None
+    init: Callable | None = None  # ({parameter name: shape}, rng) -> params
     weighted: bool = False  # quantized weights and input; costed by energy
     observed: bool = False  # an AD site (see adq.admon.observation_points)
     # (spec, input selections, input shapes, kept, channels) -> selection
@@ -187,12 +198,12 @@ KINDS = {
         _conv_shape, "conv2d",
         args=lambda spec, training: (spec.stride, spec.padding),
         reads=_CHANNEL_READS + (("kernel", 1), ("stride", 1), ("padding", 0)),
-        params=("w", "b"), trainable=("w", "b"), init=_conv_init,
-        weighted=True, select=_conv_selection),
+        params=("w", "b"), trainable=("w", "b"), shapes=_conv_shapes,
+        init=_he_init, weighted=True, select=_conv_selection),
     "linear": LayerKind(
         _linear_shape, "linear", reads=_CHANNEL_READS,
-        params=("w", "b"), trainable=("w", "b"), init=_linear_init,
-        weighted=True, select=_linear_selection),
+        params=("w", "b"), trainable=("w", "b"), shapes=_linear_shapes,
+        init=_he_init, weighted=True, select=_linear_selection),
     "relu": LayerKind(_same_shape, "relu", observed=True),
     "maxpool": LayerKind(_pool_shape, "maxpool", args=_pool_args,
                          reads=_POOL_READS),
@@ -204,7 +215,7 @@ KINDS = {
     "batchnorm": LayerKind(
         _same_shape, "batchnorm", args=lambda spec, training: (training,),
         params=("gamma", "beta", "running_mean", "running_var"),
-        trainable=("gamma", "beta"), init=_bn_init),
+        trainable=("gamma", "beta"), shapes=_bn_shapes, init=_bn_init),
 }
 
 
@@ -243,9 +254,10 @@ class NetworkArch:
     """A network's layers, in order, its input shape and its class count.
 
     An architecture is frozen: pruning and drop_layers build a new one. So
-    the facts derived from it alone (its hash, unpruned shapes, skip
-    topology, main chain, and energy's layer shapes and baseline totals)
-    are computed once, on first use, and kept in its memo (see kept).
+    the facts derived from it alone (its hash, unpruned and parameter
+    shapes, skip topology, main chain, the engine's last reader of each
+    output, and energy's layer shapes and baseline totals) are computed
+    once, on first use, and kept in its memo (see kept).
     """
     layers: tuple[LayerSpec, ...]
     input_shape: tuple[int, int, int]  # (channels, height, width)
@@ -336,6 +348,15 @@ class NetworkArch:
                 f"({self.num_classes},)"
             )
         return shapes
+
+    def param_shapes(self) -> dict[int, dict]:
+        """{layer id: {parameter name: shape}} for every layer that holds
+        parameters, in layer order. Callers must not edit it."""
+        def compute():
+            shapes = self.infer_shapes()
+            return {s.id: KINDS[s.kind].shapes(s, shapes[s.id])
+                    for s in self.layers if KINDS[s.kind].shapes}
+        return self.kept("param_shapes", compute)
 
     def arch_hash(self) -> str:
         # on first use, not at construction: most archs (the preset

@@ -17,7 +17,7 @@ import numpy as np
 
 from adq.artifacts import write_file
 from adq.errors import ConfigurationError, InputError
-from adq.nn.arch import NetworkArch
+from adq.nn.arch import KINDS, NetworkArch
 from adq.nn.engine import TrainState
 
 MAGIC = b"ADQCKPT1"
@@ -69,8 +69,11 @@ def load_checkpoint(path):
 
     Raises InputError naming the file when it cannot be read or is not a
     whole format-1 checkpoint: a short magic or length field, a header that
-    is not a UTF-8 JSON object or lacks a key read here, or a blob whose
-    index lies outside the body or disagrees with its shape.
+    is not a UTF-8 JSON object or lacks a key read here, a blob whose index
+    lies outside the body or disagrees with its shape, an ``arch_hash``
+    that is not the stored architecture's, or ``weights``, ``m`` and ``v``
+    blobs that are not exactly each layer's parameters (``m`` and ``v``:
+    its trainable ones) at the shapes the layer gives them.
     """
     try:
         with open(path, "rb") as f:
@@ -101,6 +104,9 @@ def load_checkpoint(path):
     stores = {"weights": weights, "m": m, "v": v}
     try:
         arch = NetworkArch.from_dict(header["arch"])
+        if header["arch_hash"] != arch.arch_hash():
+            raise corrupt(f"arch_hash {header['arch_hash']!r} is not its "
+                          f"architecture's, {arch.arch_hash()!r}")
         for ent in header["blobs"]:
             group, lid, name = ent["group"], ent["layer"], ent["name"]
             shape, offset, nbytes = ent["shape"], ent["offset"], ent["nbytes"]
@@ -113,6 +119,20 @@ def load_checkpoint(path):
             arr = np.frombuffer(body, dtype="<f8", count=count,
                                 offset=offset).reshape(shape).copy()
             stores[group].setdefault(lid, {})[name] = arr
+        for group, store in stores.items():
+            want = {(lid, name): shape
+                    for lid, shapes in arch.param_shapes().items()
+                    for name, shape in shapes.items()
+                    if group == "weights"
+                    or name in KINDS[arch.layer(lid).kind].trainable}
+            got = {(lid, name): arr.shape for lid, arrs in store.items()
+                   for name, arr in arrs.items()}
+            for lid, name in sorted(want.keys() | got.keys(), key=repr):
+                if got.get((lid, name)) != want.get((lid, name)):
+                    raise corrupt(
+                        f"{group} blob {name!r} of layer {lid}: "
+                        f"{_shape_text(got.get((lid, name)))} stored, "
+                        f"{_shape_text(want.get((lid, name)))} expected")
         rng = _decode_rng(header["rng_state"], header["rng_seed"])
         state = TrainState(weights=weights, m=m, v=v, step=header["step"],
                            epoch=header["epoch"], rng_seed=header["rng_seed"],
@@ -121,6 +141,10 @@ def load_checkpoint(path):
     except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise corrupt(repr(exc)) from None
     return arch, state, header
+
+
+def _shape_text(shape):
+    return "none" if shape is None else f"shape {list(shape)}"
 
 
 def _encode_rng(rng: np.random.Generator) -> dict:

@@ -4,14 +4,15 @@ The engine is deterministic: given the same seed, architecture, and data it
 reproduces weight trajectories bit-for-bit (single-threaded numpy, fixed
 reduction orders, explicit RNG state).
 
-Every pass runs one layer loop. ``forward`` keeps what ``backward`` reads:
-each layer's output, kernel cache and straight-through masks. Forward-only
-passes (``eval_logits``, and through it ``predict``, ``accuracy`` and the
-scheduler's strict AD pass) keep no backward state: no kernel caches, no
-masks, and no layer output past its last reader. They fake-quantize each
+Every pass runs one layer loop, which drops each layer output after its
+last reader. ``forward`` keeps what ``backward`` reads: each layer's kernel
+cache and straight-through masks, not its output. Forward-only passes
+(``eval_logits``, and through it ``predict``, ``accuracy`` and the
+scheduler's strict AD pass) keep no backward state. They fake-quantize each
 weight once per call rather than once per batch, and give the same logits
 bit for bit. ``backward`` computes the gradient with respect to the network
-input only when asked for it, and drops each layer's gradient once it has
+input only when asked for it. It frees each layer's cache as it uses it, so
+a cache feeds one backward, and drops each layer's gradient once it has
 passed it on.
 """
 
@@ -40,15 +41,12 @@ class TrainState:
 
 def init_state(arch: NetworkArch, seed: int) -> TrainState:
     rng = np.random.Generator(np.random.PCG64(seed))
-    shapes = arch.infer_shapes()
     weights, m, v = {}, {}, {}
-    for spec in arch.layers:
-        kind = KINDS[spec.kind]
-        if kind.init is None:
-            continue
-        params = weights[spec.id] = kind.init(spec, shapes[spec.id], rng)
-        m[spec.id] = {k: np.zeros_like(params[k]) for k in kind.trainable}
-        v[spec.id] = {k: np.zeros_like(params[k]) for k in kind.trainable}
+    for lid, shapes in arch.param_shapes().items():
+        kind = KINDS[arch.layer(lid).kind]
+        params = weights[lid] = kind.init(shapes, rng)
+        m[lid] = {k: np.zeros_like(params[k]) for k in kind.trainable}
+        v[lid] = {k: np.zeros_like(params[k]) for k in kind.trainable}
     return TrainState(weights=weights, m=m, v=v, step=0, epoch=0,
                       rng_seed=seed, rng=rng)
 
@@ -56,9 +54,9 @@ def init_state(arch: NetworkArch, seed: int) -> TrainState:
 @dataclass
 class ForwardCache:
     arch_hash: str
-    # layer id -> (input ids, kernel cache, per-input STE masks)
+    # layer id -> (input ids, kernel cache, per-input STE masks); backward
+    # pops each entry as it uses it, so a cache feeds one backward
     entries: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)  # layer id -> output array
 
 
 def _check_batch(arch: NetworkArch, batch):
@@ -85,16 +83,15 @@ def _kernel_params(arch: NetworkArch, state: TrainState, quantizer):
 
 
 def _run_layers(arch, batch, params, quantizer, training, observe, cache=None):
-    """The layer loop of every pass; returns the logits. With a cache it
-    records what backward() reads: each layer's output, kernel cache and
-    STE masks. Without one it keeps none of them, and drops each output
-    after its last reader. observe is forward()'s, or {}."""
+    """The layer loop of every pass; returns the logits. Each output is
+    dropped after its last reader. With a cache it records what backward()
+    reads: each layer's kernel cache and STE masks. observe is forward()'s,
+    or {}."""
     keep = cache is not None
-    outputs = cache.outputs if keep else {}
-    outputs[-1] = batch
-    if not keep:
-        last_reader = {src: spec.id for spec in arch.layers
-                       for src in arch.input_ids(spec.id)}
+    last_reader = arch.kept("last_reader", lambda: {
+        src: spec.id for spec in arch.layers
+        for src in arch.input_ids(spec.id)})
+    outputs = {-1: batch}
     for spec in arch.layers:
         kind = KINDS[spec.kind]
         srcs = arch.input_ids(spec.id)
@@ -115,10 +112,9 @@ def _run_layers(arch, batch, params, quantizer, training, observe, cache=None):
         outputs[spec.id] = out
         if keep:
             cache.entries[spec.id] = (srcs, kc, masks)
-        else:
-            for src in srcs:
-                if last_reader[src] == spec.id:
-                    outputs.pop(src, None)  # an add may read one layer twice
+        for src in srcs:
+            if last_reader[src] == spec.id:
+                outputs.pop(src, None)  # an add may read one layer twice
     return out
 
 
@@ -130,7 +126,7 @@ def forward(arch: NetworkArch, state: TrainState, batch, observe=None,
     once per call with its layer's output, and no other layer's output is
     reported (the scheduler's AD sites). training selects batchnorm's batch
     statistics and lets the quantizer's activation ranges move. Returns
-    (logits, cache); cache feeds backward().
+    (logits, cache); cache feeds one backward().
     """
     batch = _check_batch(arch, batch)
     cache = ForwardCache(arch_hash=arch.arch_hash())
@@ -149,10 +145,12 @@ def backward(arch: NetworkArch, state: TrainState, cache: ForwardCache,
     input_grad is set and None otherwise. Only the gradients those need are
     computed. Gradients of quantized activations pass through the
     straight-through masks captured at forward time; a weight's range is
-    its own [min, max], so its gradient passes whole.
+    its own [min, max], so its gradient passes whole. The cache is consumed:
+    a second backward on it raises UsageError.
     """
     if not isinstance(cache, ForwardCache) or not cache.entries:
-        raise UsageError("backward needs the cache returned by forward()")
+        raise UsageError("backward needs an unused cache returned by "
+                         "forward()")
     if cache.arch_hash != arch.arch_hash():
         raise UsageError("cache was produced by a different architecture")
 
@@ -162,23 +160,23 @@ def backward(arch: NetworkArch, state: TrainState, cache: ForwardCache,
     for spec in arch.layers:
         needed[spec.id] = bool(KINDS[spec.kind].trainable) or any(
             needed[src] for src in arch.input_ids(spec.id))
-    gmap = {lid: None for lid in cache.outputs}
-    gmap[arch.layers[-1].id] = np.asarray(loss_grad, dtype=np.float64)
+    gmap = {arch.layers[-1].id: np.asarray(loss_grad, dtype=np.float64)}
     grads = {}
 
     def route(target, g):
-        if gmap.get(target) is None:
-            gmap[target] = g.copy()
-        else:
+        if target in gmap:
             gmap[target] += g
+        else:
+            gmap[target] = g.copy()
 
     for spec in reversed(arch.layers):
-        # popped: only the gradients not yet passed on stay alive
+        # popped: only the caches not yet used and the gradients not yet
+        # passed on stay alive
+        srcs, kc, masks = cache.entries.pop(spec.id)
         gout = gmap.pop(spec.id, None)
         if gout is None or not needed[spec.id]:
             continue  # dead branch, or nothing upstream to train
         kind = KINDS[spec.kind]
-        srcs, kc, masks = cache.entries[spec.id]
         kernel = getattr(L, f"{kind.kernel}_backward")
         if kind.trainable and not needed[srcs[0]]:
             gin, pg = kernel(kc, gout, input_grad=False)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -391,6 +392,26 @@ def _small_checkpoint(path, **header):
     return path.read_bytes()
 
 
+def _edited_checkpoint(tmp_path, edit):
+    """bad.ckpt: _small_checkpoint with edit(header) applied."""
+    data = _small_checkpoint(tmp_path / "whole.ckpt")
+    hlen = int.from_bytes(data[8:12], "little")
+    header = json.loads(data[12:12 + hlen])
+    edit(header)
+    raw = json.dumps(header).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(MAGIC + len(raw).to_bytes(4, "little") + raw
+                    + data[12 + hlen:])
+    return bad
+
+
+def _blob(header, group, layer, name):
+    """The header's index entry of one blob."""
+    (ent,) = [b for b in header["blobs"]
+              if (b["group"], b["layer"], b["name"]) == (group, layer, name)]
+    return ent
+
+
 class TestCorruptCheckpoint:
     def test_every_truncation_is_an_input_error(self, tmp_path):
         data = _small_checkpoint(tmp_path / "whole.ckpt")
@@ -434,16 +455,29 @@ class TestCorruptCheckpoint:
     ], ids=["shape-disagrees", "before-the-body", "no-rng-state",
             "bad-arch"])
     def test_edited_header_is_an_input_error(self, tmp_path, edit):
-        data = _small_checkpoint(tmp_path / "whole.ckpt")
-        hlen = int.from_bytes(data[8:12], "little")
-        header = json.loads(data[12:12 + hlen])
-        edit(header)
-        raw = json.dumps(header).encode()
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(MAGIC + len(raw).to_bytes(4, "little") + raw
-                        + data[12 + hlen:])
         with pytest.raises(InputError, match="bad.ckpt"):
+            load_checkpoint(_edited_checkpoint(tmp_path, edit))
+
+    @pytest.mark.parametrize("edit, why", [
+        (lambda h: h.update(arch_hash="deadbeef"),
+         "arch_hash 'deadbeef' is not its architecture's"),
+        (lambda h: h["blobs"].remove(_blob(h, "weights", 0, "w")),
+         "weights blob 'w' of layer 0: none stored, shape [2, 1, 3, 3]"),
+        (lambda h: _blob(h, "weights", 0, "w").update(shape=[1, 2, 3, 3]),
+         "weights blob 'w' of layer 0: shape [1, 2, 3, 3] stored, "
+         "shape [2, 1, 3, 3] expected"),
+        (lambda h: h["blobs"].append(dict(_blob(h, "m", 0, "b"), layer=1)),
+         "m blob 'b' of layer 1: shape [2] stored, none expected"),
+    ], ids=["foreign-arch-hash", "no-weight", "reshaped-weight",
+            "moment-of-a-relu"])
+    def test_header_that_disagrees_with_its_arch_is_an_input_error(
+            self, tmp_path, capsys, edit, why):
+        bad = str(_edited_checkpoint(tmp_path, edit))
+        with pytest.raises(InputError, match=re.escape(why)):
             load_checkpoint(bad)
+        assert main(["energy", "--checkpoint", bad, "--model", "pim"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
     @pytest.mark.parametrize("header", [
         {"bits": [8, 8]}, {"bits": {"first": 8}}, {"bits": {"0": "8"}},

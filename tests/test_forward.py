@@ -110,8 +110,10 @@ class TestNetworkForward:
         state.weights[0]["w"] = np.eye(2).reshape(2, 2, 1, 1)
         state.weights[0]["b"] = np.zeros(2)
         x = -np.abs(np.random.default_rng(5).normal(size=(2, 2, 3, 3)))
-        _, cache = forward(arch, state, x)
-        assert np.all(cache.outputs[1] == 0.0)
+        seen = {}
+        forward(arch, state, x,
+                observe={1: lambda out: seen.setdefault(1, out)})
+        assert np.all(seen[1] == 0.0)
 
     def test_identity_linear_passthrough(self):
         arch = _chain(
@@ -184,9 +186,11 @@ class TestResidual:
         arch = self._resnet_block()
         state = init_state(arch, seed=1)
         x = np.random.default_rng(9).normal(size=(2, 2, 4, 4))
-        _, cache = forward(arch, state, x)
-        assert np.allclose(cache.outputs[3],
-                           cache.outputs[2] + cache.outputs[1])
+        seen = {}
+        forward(arch, state, x, observe={
+            lid: lambda out, lid=lid: seen.setdefault(lid, out)
+            for lid in (1, 2, 3)})
+        assert np.allclose(seen[3], seen[2] + seen[1])
 
     def test_mismatched_add_shapes_rejected(self):
         with pytest.raises(ConfigurationError, match="residual-add"):

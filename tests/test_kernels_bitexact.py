@@ -330,12 +330,15 @@ def test_batchnorm_forward_matches_former(training):
 
 def _backward_both_ways(monkeypatch, arch, seed):
     """backward's results with and without the input gradient, and the
-    input_grad argument each conv backward got in the second run."""
+    input_grad argument each conv backward got in the second run. A cache
+    feeds one backward, so each run gets its own forward; the arch has no
+    batchnorm, so both caches are equal."""
     state = engine.init_state(arch, seed)
     x = np.random.default_rng(seed).normal(size=(5,) + tuple(arch.input_shape))
     logits, cache = engine.forward(arch, state, x)
     lgrad = engine.loss_softmax_xent(logits, np.arange(5) % arch.num_classes)[1]
     full = engine.backward(arch, state, cache, lgrad, input_grad=True)
+    _, cache = engine.forward(arch, state, x)
     asked = []
     conv_backward = L.conv2d_backward
 

@@ -164,6 +164,64 @@ class TestBackwardUsage:
         # measured: about 7 maps, and 31 when every gradient was kept
         assert peak < depth // 2 * x.nbytes, peak / x.nbytes
 
+    @staticmethod
+    def _deep_chain(blocks, shape=(16, 4, 16, 16)):
+        """conv/batchnorm/relu blocks whose first conv has a 5x5 kernel, so
+        its weight gradient, computed last, builds 25 maps of patch rows."""
+        c = shape[1]
+        specs = []
+        for i in range(blocks):
+            k = 5 if i == 0 else 1
+            specs += [dict(kind="conv2d", in_channels=c, out_channels=c,
+                           kernel=k, padding=k // 2),
+                      dict(kind="batchnorm"), dict(kind="relu")]
+        specs += [dict(kind="flatten"),
+                  dict(kind="linear", in_channels=c * shape[2] * shape[3],
+                       out_channels=2)]
+        arch = NetworkArch([LayerSpec(id=i, **kw)
+                            for i, kw in enumerate(specs)], shape[1:], 2)
+        x = np.random.default_rng(0).normal(size=shape)
+        return arch, init_state(arch, 0), x
+
+    def _traced_step(self, blocks):
+        """(memory held after forward, peak during backward), in maps."""
+        arch, state, x = self._deep_chain(blocks)
+        tracemalloc.start()
+        try:
+            logits, cache = forward(arch, state, x)
+            held = tracemalloc.get_traced_memory()[0]
+            _, lgrad = loss_softmax_xent(logits, np.zeros(len(x), dtype=int))
+            tracemalloc.reset_peak()
+            backward(arch, state, cache, lgrad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return held / x.nbytes, peak / x.nbytes
+
+    def test_forward_keeps_no_dead_layer_output(self):
+        # per block: batchnorm's normalized input, relu's mask and relu's
+        # output (the next conv's cached input). Measured: 20.4 maps for 8
+        # blocks, and 37.3 when every layer's output was kept as well
+        blocks = 8
+        held, _ = self._traced_step(blocks)
+        assert held < 3.5 * blocks, held
+
+    def test_backward_frees_each_cache_once_used(self):
+        # the first conv's patch rows are built when only its own cache is
+        # left. Measured: 33.1 maps for 8 blocks; 48.5 when every cache was
+        # kept until backward returned, 65.5 with every output kept too
+        blocks = 8
+        _, peak = self._traced_step(blocks)
+        assert peak < 5 * blocks, peak
+
+    def test_consumed_cache_rejected(self):
+        arch, state, x = self._deep_chain(2)
+        logits, cache = forward(arch, state, x)
+        _, lgrad = loss_softmax_xent(logits, np.zeros(len(x), dtype=int))
+        backward(arch, state, cache, lgrad)
+        with pytest.raises(UsageError, match="unused cache"):
+            backward(arch, state, cache, lgrad)
+
     def test_foreign_cache_rejected(self):
         a1 = build_toy_cnn(widths=(2, 2, 2, 2))
         a2 = build_toy_cnn(widths=(3, 3, 3, 3))
