@@ -105,15 +105,14 @@ def cmd_train(args) -> int:
         *(f"energy_iter{it}_{model}.{ext}" for it in iters
           for model in models for ext in ("json", "csv")))))
 
-    energy_rows, trained = [], []  # trained: each iteration's network
+    energy_rows = []
 
     def on_iteration(run, record):
         it = record.iter
         save_schedule_checkpoint(out(f"checkpoint_iter{it}.ckpt"), run)
-        trained.append(run.arch)
         for model in models:  # against uniform 16-bit on the unpruned
-            # network iteration 1 trained; its rebuilds keep its layer ids
-            rep = _energy_report(model, trained[0], run.assignment,
+            # network; its rebuilds keep its layer ids
+            rep = _energy_report(model, run.unpruned, run.assignment,
                                  run.channels, 16)
             _write_report(rep, out(f"energy_iter{it}_{model}"))
             energy_rows.append((it, model, rep.efficiency))
@@ -124,7 +123,8 @@ def cmd_train(args) -> int:
                               iteration_callback=on_iteration)
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
-        run, path = exc.run, out(f"diverged_epoch{exc.run.epoch}.ckpt")
+        run = exc.run  # the failing epoch is the one after state.epoch
+        path = out(f"diverged_epoch{run.state.epoch + 1}.ckpt")
         try:
             save_schedule_checkpoint(path, run)
             print(f"diagnostic checkpoint: {path}", file=sys.stderr)

@@ -69,11 +69,13 @@ def load_checkpoint(path):
 
     Raises InputError naming the file when it cannot be read or is not a
     whole format-1 checkpoint: a short magic or length field, a header that
-    is not a UTF-8 JSON object or lacks a key read here, a blob whose index
-    lies outside the body or disagrees with its shape, an ``arch_hash``
-    that is not the stored architecture's, or ``weights``, ``m`` and ``v``
-    blobs that are not exactly each layer's parameters (``m`` and ``v``:
-    its trainable ones) at the shapes the layer gives them.
+    is not a UTF-8 JSON object or lacks a key read here, a ``format`` other
+    than 1, a ``step`` or ``epoch`` that is not an integer >= 0, a blob
+    whose index lies outside the body or disagrees with its shape, an
+    ``arch_hash`` that is not the stored architecture's, or ``weights``,
+    ``m`` and ``v`` blobs that are not exactly each layer's parameters
+    (``m`` and ``v``: its trainable ones) at the shapes the layer gives
+    them.
     """
     try:
         with open(path, "rb") as f:
@@ -103,6 +105,13 @@ def load_checkpoint(path):
     weights, m, v = {}, {}, {}
     stores = {"weights": weights, "m": m, "v": v}
     try:
+        # type(...) is int: a JSON true or 1.0 is not an integer here
+        if type(header["format"]) is not int or header["format"] != 1:
+            raise corrupt(f"format {header['format']!r} is not 1, the one "
+                          "this code reads")
+        for key in ("step", "epoch"):
+            if type(header[key]) is not int or header[key] < 0:
+                raise corrupt(f"{key} {header[key]!r} is not an integer >= 0")
         arch = NetworkArch.from_dict(header["arch"])
         if header["arch_hash"] != arch.arch_hash():
             raise corrupt(f"arch_hash {header['arch_hash']!r} is not its "

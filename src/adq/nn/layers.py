@@ -60,7 +60,7 @@ import numpy as np
 from adq.errors import ConfigurationError
 
 BN_EPS = 1e-5
-SCATTER_CHUNK = 8  # samples per np.bincount call in conv2d_backward
+SCATTER_CHUNK = 2  # samples per np.bincount call in conv2d_backward
 
 
 # ------------------------------------------------------------------- geometry

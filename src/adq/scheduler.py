@@ -253,12 +253,10 @@ class ScheduleRun:
     state: engine.TrainState
     assignment: dict  # weighted layer id -> bit-width
     channels: dict | None  # conv layer id -> channel count; None: no pruning
-    initial_channels: dict | None  # conv layer id -> original channel count
+    unpruned: NetworkArch  # the network the schedule started from
     log: ScheduleLog
     ad_history: ADHistory
     quantizer: NetworkQuantizer | None = None  # the current phase's
-    trackers: dict = field(default_factory=dict)  # activation ranges
-    epoch: int = 0  # epochs trained so far
     scores: dict = field(default_factory=dict)  # see _train_epoch
 
 
@@ -278,27 +276,27 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
         arch = arch.drop_layers(config.remove_layers)
     run = ScheduleRun(arch, engine.init_state(arch, seed),
                       {i: config.initial_bits for i in arch.weighted_ids()},
-                      None, None, ScheduleLog(), ADHistory())
+                      None, arch, ScheduleLog(), ADHistory())
     if config.pruning_enabled:
         run.channels = {i: arch.layer(i).out_channels for i in arch.conv_ids()}
-        run.initial_channels = dict(run.channels)
 
     for it in range(1, config.max_iters + 1):
         run.quantizer = build_quantizer(run.arch, run.assignment, config,
-                                        run.trackers)
-        start = run.epoch
+                                        run.quantizer and
+                                        run.quantizer.trackers)
+        start = run.state.epoch
         for _ in range(config.epoch_budget):
             loss = _train_epoch(run, dataset, config, optim)
             if run.ad_history.is_saturated(
                     config.saturation_epsilon, config.saturation_window,
-                    epochs=list(range(start + 1, run.epoch + 1))):
+                    epochs=list(range(start + 1, run.state.epoch + 1))):
                 break
 
         record = IterationRecord(
             iter=it, bits=dict(run.assignment),
             channels=None if run.channels is None else dict(run.channels),
-            epochs=run.epoch - start,
-            network_ad=run.ad_history.network_ad(run.epoch,
+            epochs=run.state.epoch - start,
+            network_ad=run.ad_history.network_ad(run.state.epoch,
                                                  config.network_ad_mode),
             test_accuracy=run.log.epoch_accuracy[-1][1],
             train_loss=loss)
@@ -310,7 +308,7 @@ def run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,
 
     # final convergence phase at the fixed assignment
     run.quantizer = build_quantizer(run.arch, run.assignment, config,
-                                    run.trackers)
+                                    run.quantizer and run.quantizer.trackers)
     for _ in range(config.final_convergence_epochs):
         run.log.final_epochs += 1
         _train_epoch(run, dataset, config, optim)
@@ -331,14 +329,16 @@ def _advance(run: ScheduleRun, config: ScheduleConfig) -> bool:
     Otherwise moves run to the new assignment, first rebuilding the network
     on the kept channels when the counts changed, and returns True."""
     arch = run.arch
-    ad = {lid: run.ad_history.layer_ad(lid, run.epoch)
+    ad = {lid: run.ad_history.layer_ad(lid, run.state.epoch)
           for lid in main_chain_weighted_ids(arch)}
     bits = inherit_from_destinations(
         arch, update_bitwidths(run.assignment, ad, default_exempt(arch)))
     channels = run.channels
     if channels is not None:
         channels = inherit_from_destinations(arch, update_channels(
-            channels, run.initial_channels, ad, config.prune_from_initial))
+            channels, {i: run.unpruned.layer(i).out_channels
+                       for i in run.unpruned.conv_ids()},
+            ad, config.prune_from_initial))
     if bits == run.assignment and channels == run.channels:
         return False
     if channels != run.channels:
@@ -346,7 +346,7 @@ def _advance(run: ScheduleRun, config: ScheduleConfig) -> bool:
         kept = inherit_from_destinations(
             arch, select_pruned_channels(channels, run.scores))
         run.arch, run.state = rebuild_pruned(arch, run.state, channels, kept)
-        run.trackers = {}  # channel identities changed
+        run.quantizer = None  # channel identities changed: no ranges carry
     run.assignment, run.channels = bits, channels
     return True
 
@@ -430,10 +430,10 @@ def _train_epoch(run: ScheduleRun, dataset, config, optim) -> float:
     conv's positive fraction per channel over the epoch's observed
     activations ({} otherwise). Returns the mean loss. A non-finite loss
     raises TrainingDiverged with run as it stood at that batch."""
-    epoch = run.epoch = run.epoch + 1
     arch, state, quantizer = run.arch, run.state, run.quantizer
+    epoch = state.epoch + 1
     observe, counts = _epoch_observer(arch, run.ad_history, epoch,
-                                      config.pruning_enabled)
+                                      run.channels is not None)
     losses = []
     with np.errstate(**_QUIET_OVERFLOW):
         for bx, by in iter_batches(dataset.x_train, dataset.y_train,

@@ -618,13 +618,22 @@ def update_channels(prune_state: PruneState,
                       dict(prune_state.initial_channels))
 
 
+@dataclass
+class FormerRun(ScheduleRun):
+    """A ScheduleRun with the former loop's original channel counts in
+    place of the unpruned network, which that loop did not keep
+    (``unpruned`` is None)."""
+    initial_channels: dict | None = None
+
+
 def _run(arch, state, assignment, prune_state, log, history, quantizer=None):
     """The package's ScheduleRun of the former loop's locals."""
-    return ScheduleRun(
+    return FormerRun(
         arch, state, assignment.k,
         None if prune_state is None else prune_state.channels,
-        None if prune_state is None else prune_state.initial_channels,
-        log, history, quantizer)
+        None, log, history, quantizer,
+        initial_channels=(None if prune_state is None
+                          else prune_state.initial_channels))
 
 
 def former_run_schedule(arch: NetworkArch, dataset, config: ScheduleConfig,

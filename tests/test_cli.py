@@ -468,8 +468,15 @@ class TestCorruptCheckpoint:
          "shape [2, 1, 3, 3] expected"),
         (lambda h: h["blobs"].append(dict(_blob(h, "m", 0, "b"), layer=1)),
          "m blob 'b' of layer 1: shape [2] stored, none expected"),
+        (lambda h: h.update(format=9),
+         "format 9 is not 1, the one this code reads"),
+        (lambda h: h.update(step="abc"),
+         "step 'abc' is not an integer >= 0"),
+        (lambda h: h.update(step=True), "step True is not an integer >= 0"),
+        (lambda h: h.update(epoch=-3), "epoch -3 is not an integer >= 0"),
     ], ids=["foreign-arch-hash", "no-weight", "reshaped-weight",
-            "moment-of-a-relu"])
+            "moment-of-a-relu", "format-9", "step-abc", "step-true",
+            "epoch-negative"])
     def test_header_that_disagrees_with_its_arch_is_an_input_error(
             self, tmp_path, capsys, edit, why):
         bad = str(_edited_checkpoint(tmp_path, edit))

@@ -31,7 +31,7 @@ def test_divergence_aborts_with_diagnostic_checkpoint(tmp_path):
     with pytest.raises(TrainingDiverged) as err:
         run_schedule(arch, ds, cfg, seed=0)
     run = err.value.run
-    assert run is not None and run.epoch == 1
+    assert run is not None and run.state.epoch == 0
     from adq.nn.checkpoint import load_checkpoint
     path = str(tmp_path / "diverged.ckpt")
     save_schedule_checkpoint(path, run)
@@ -60,11 +60,16 @@ def test_schedule_checkpoints_share_one_layout(tmp_path):
     p = tmp_path / "cfg.json"
 
     diverged = tmp_path / "diverged"
-    p.write_text(json.dumps({**cfg, "output_dir": str(diverged),
-                             "optimizer": {"lr": 1e300}}))
+    # the first step's weights overflow the second batch's loss, in epoch 1,
+    # which the checkpoint has not finished
+    p.write_text(json.dumps({
+        **cfg, "output_dir": str(diverged), "optimizer": {"lr": 1e300},
+        "schedule": {**cfg["schedule"], "batch_size": 16}}))
     assert main(["train", "-c", str(p)]) == 3
-    [path] = diverged.glob("diverged_epoch*.ckpt")
-    arch, _, header = load_checkpoint(str(path))
+    assert [f.name for f in diverged.glob("diverged_epoch*.ckpt")] == [
+        "diverged_epoch1.ckpt"]
+    arch, _, header = load_checkpoint(str(diverged / "diverged_epoch1.ckpt"))
+    assert header["epoch"] == 0
     assert header["bits"] == {str(i): 16 for i in arch.weighted_ids()}
     assert header["channels"] == {str(i): arch.layer(i).out_channels
                                   for i in arch.conv_ids()}
@@ -111,6 +116,8 @@ def test_divergence_cli_exit_code(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     assert main(["train", "-c", str(p)]) == 3
+    assert [f.name for f in (tmp_path / "run").glob("diverged_*")] == [
+        "diverged_epoch1.ckpt"]
 
 
 def test_remove_layers_directive():

@@ -10,7 +10,7 @@ from adq.nn.data import synthetic_dataset
 from adq.presets import build_toy_cnn
 from adq.scheduler import ScheduleConfig, default_exempt, run_schedule
 
-from oracles import former_run_schedule
+from oracles import FormerRun, former_run_schedule
 from test_pruning import projection_resnet
 
 
@@ -57,6 +57,18 @@ def _copy(layer_map):
     return None if layer_map is None else dict(layer_map)
 
 
+def _original_channels(run):
+    """Each conv's original channel count, None without pruning: the former
+    loop's initial_channels, or the counts of the package run's unpruned
+    network."""
+    if isinstance(run, FormerRun):
+        return _copy(run.initial_channels)
+    if run.channels is None:
+        return None
+    return {i: run.unpruned.layer(i).out_channels
+            for i in run.unpruned.conv_ids()}
+
+
 def _outcome(schedule, case):
     """Run one schedule of a case; return everything it produced, the
     arguments of each iteration_callback call included, as comparable
@@ -67,7 +79,7 @@ def _outcome(schedule, case):
     def callback(run, record):
         calls.append((run.arch.to_dict(), _state_bytes(run.state),
                       dict(run.assignment), default_exempt(run.arch),
-                      _copy(run.channels), _copy(run.initial_channels),
+                      _copy(run.channels), _original_channels(run),
                       run.ad_history.to_rows(), asdict(record)))
 
     run = schedule(arch, ds, cfg, seed=0, iteration_callback=callback)
@@ -77,7 +89,7 @@ def _outcome(schedule, case):
         "quant_state": run.quantizer.state_dict(),
         "ad_history": run.ad_history.to_rows(),
         "assignment": (run.assignment, default_exempt(run.arch)),
-        "channels": (run.channels, run.initial_channels),
+        "channels": (run.channels, _original_channels(run)),
         "arch": run.arch.to_dict(),
         "calls": calls,
     }
