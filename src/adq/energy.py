@@ -18,7 +18,9 @@ the report, since a true binary execution path would use different hardware.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass, field
 
 from adq.artifacts import csv_text
@@ -68,6 +70,13 @@ def _analytical_pj(n_mem: int, n_mac: int, k: int) -> float:
         raise InputError(f"bit-width {k} outside [1, 32]")
     return (n_mem * (MEM_PJ_PER_BIT * k)
             + n_mac * (MULT32_PJ * k / 32.0 + ADD32_PJ))
+
+
+def _add(values):
+    """The floats added left to right, so that reports and tables have the
+    same bytes on every Python: since 3.12, sum() adds floats with
+    compensated summation."""
+    return functools.reduce(operator.add, values, 0)
 
 
 def pim_round_bits(k: int) -> int:
@@ -135,7 +144,7 @@ class EnergyReport:
 
     @property
     def total_pj(self) -> float:
-        return sum(r.energy_pj for r in self.rows)
+        return _add(r.energy_pj for r in self.rows)
 
     @property
     def total_uj(self) -> float:
@@ -212,9 +221,10 @@ def _network_energy(model, arch, bits, channels, baseline_bits,
         rows.append(LayerEnergy(s.layer_id, s.kind, k, pim_k, s.i, s.o,
                                 n_mem, n_mac, energy_pj, k == 1))
     # an unpruned report is costed at the baseline's own shapes
-    baseline_pj = arch.kept(("baseline_pj", model, baseline_bits), lambda: sum(
-        cost(mem_accesses(s), mac_count(s), baseline_bits)[1]
-        for s in (shapes if channels is None else layer_shapes(arch))))
+    baseline_pj = arch.kept(
+        ("baseline_pj", model, baseline_bits), lambda: _add(
+            cost(mem_accesses(s), mac_count(s), baseline_bits)[1]
+            for s in (shapes if channels is None else layer_shapes(arch))))
     return EnergyReport(model, rows, baseline_pj, baseline_bits)
 
 
@@ -265,4 +275,4 @@ def training_complexity(iterations, baseline_epoch_total: float) -> float:
     for red, _ in items:
         if red < 1:
             raise InputError(f"mac reduction {red} < 1")
-    return sum(ep / red for red, ep in items) / baseline_epoch_total
+    return _add(ep / red for red, ep in items) / baseline_epoch_total

@@ -70,12 +70,13 @@ def load_checkpoint(path):
     Raises InputError naming the file when it cannot be read or is not a
     whole format-1 checkpoint: a short magic or length field, a header that
     is not a UTF-8 JSON object or lacks a key read here, a ``format`` other
-    than 1, a ``step`` or ``epoch`` that is not an integer >= 0, a blob
-    whose index lies outside the body or disagrees with its shape, an
-    ``arch_hash`` that is not the stored architecture's, or ``weights``,
-    ``m`` and ``v`` blobs that are not exactly each layer's parameters
-    (``m`` and ``v``: its trainable ones) at the shapes the layer gives
-    them.
+    than 1, a ``step``, ``epoch`` or ``rng_seed`` that is not an integer
+    >= 0, an ``ad_history`` that is not null or a list, a ``quant_state``
+    that is not null or an object, a blob whose index lies outside the body
+    or disagrees with its shape, an ``arch_hash`` that is not the stored
+    architecture's, or ``weights``, ``m`` and ``v`` blobs that are not
+    exactly each layer's parameters (``m`` and ``v``: its trainable ones) at
+    the shapes the layer gives them.
     """
     try:
         with open(path, "rb") as f:
@@ -109,9 +110,13 @@ def load_checkpoint(path):
         if type(header["format"]) is not int or header["format"] != 1:
             raise corrupt(f"format {header['format']!r} is not 1, the one "
                           "this code reads")
-        for key in ("step", "epoch"):
+        for key in ("step", "epoch", "rng_seed"):
             if type(header[key]) is not int or header[key] < 0:
                 raise corrupt(f"{key} {header[key]!r} is not an integer >= 0")
+        for key, kind, name in (("ad_history", list, "a list"),
+                                ("quant_state", dict, "an object")):
+            if header[key] is not None and type(header[key]) is not kind:
+                raise corrupt(f"{key} {header[key]!r} is not null or {name}")
         arch = NetworkArch.from_dict(header["arch"])
         if header["arch_hash"] != arch.arch_hash():
             raise corrupt(f"arch_hash {header['arch_hash']!r} is not its "

@@ -1,7 +1,7 @@
 """Independent reference implementations used as test oracles.
 
 Most of it shares no code with the package internals and is deliberately
-naive (nested loops, direct formulas). Eight pieces are the package's former
+naive (nested loops, direct formulas). Six pieces are the package's former
 code, kept as a bit-for-bit reference: the einsum convolution kernels; the
 quantizer and batchnorm forward that allocated a new array per operation;
 the pruning rebuild that mirrored skip-path convs onto their destinations
@@ -9,27 +9,19 @@ and walked back from each linear layer to the flatten (it builds its result
 with the package's architecture and engine); the evaluation that ran the
 training forward batch by batch (``predict``, ``eval_logits``); the graph
 walks that resolved skip connections and AD observation points per call
-(``skip_topology``, ``observation_points``); the ``reproduce`` tables that
-built each row's preset architecture for that row (``reproduce_table``);
-the schedule loop that kept its state in locals, with the classes that held
-its bit-widths and channel counts (``former_run_schedule``);
-and the energy reports that costed every report's baseline afresh
-(``former_*_network_energy``, ``former_to_dict``, ``former_indent2``).
+(``skip_topology``, ``observation_points``); and the schedule loop that kept
+its state in locals, with the classes that held its bit-widths and channel
+counts (``former_run_schedule``). The outputs of the energy reports and
+``reproduce`` tables need no former code: tests/golden/energy.json holds
+their bytes.
 """
 
-import functools
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from adq import reproduce as R
 from adq.admon import ADHistory
-from adq.energy import (PIM_MAC_FJ, EnergyReport, LayerEnergy,
-                        analytical_layer_energy, analytical_network_energy,
-                        layer_shapes, mac_count, mem_accesses,
-                        pim_network_energy, pim_round_bits,
-                        training_complexity)
+from adq.energy import PIM_MAC_FJ
 from adq.errors import ConfigurationError, InputError, TrainingDiverged
 from adq.nn import engine
 from adq.nn.arch import (KINDS, NetworkArch, inherit_from_destinations,
@@ -37,7 +29,6 @@ from adq.nn.arch import (KINDS, NetworkArch, inherit_from_destinations,
 from adq.nn.data import iter_batches
 from adq.nn.engine import forward
 from adq.nn.layers import BN_EPS
-from adq.presets import BASELINE_EPOCH_TOTALS, get_preset
 from adq.quant import QuantParams
 from adq.scheduler import (_QUIET_OVERFLOW, IterationRecord, ScheduleConfig,
                            ScheduleLog, ScheduleRun, _epoch_observer, _shrink,
@@ -488,83 +479,6 @@ def observation_points(arch: NetworkArch) -> dict[int, tuple[int, bool]]:
     return points
 
 
-# The package's former ``reproduce`` table code: ``_analytical_ratio`` and
-# ``_pim_report`` verbatim, each building its row's architecture, and the
-# table loops around them. The rows and tolerances are the package's.
-
-def _analytical_ratio(preset_name: str) -> float:
-    p = get_preset(preset_name)
-    arch = p.build_arch()
-    rep = analytical_network_energy(arch, p.bit_assignment(arch),
-                                    p.channel_assignment(arch),
-                                    baseline_bits=p.baseline_bits)
-    return rep.efficiency
-
-
-def _pim_report(arch_preset: str, bits_preset: str, channels_preset=None):
-    base = get_preset(arch_preset)
-    arch = base.build_arch()
-    bits = get_preset(bits_preset).bit_assignment(arch)
-    channels = None
-    if channels_preset is not None:
-        channels = get_preset(channels_preset).channel_assignment(arch)
-    return pim_network_energy(arch, bits, channels)
-
-
-def reproduce_table(table_id) -> list:
-    """``reproduce.compute_table`` with one architecture build per row."""
-    cells = []
-    if table_id == "1":
-        for family, rows in R.TABLE1:
-            baseline_total = BASELINE_EPOCH_TOTALS[family]
-            ratios = {}
-            for label, path in rows:
-                p = get_preset(path[-1])
-                ratio = ratios[p.name] = _analytical_ratio(p.name)
-                cells.append(R.Cell("1", f"{family} {label}",
-                                    "energy_efficiency", ratio,
-                                    p.published["energy_efficiency"],
-                                    R.EFF_TOL if len(path) > 1 else 0.0))
-                if len(path) == 1:
-                    tc = 1.0
-                else:
-                    iters = [(ratios[n], get_preset(n).published["epochs"])
-                             for n in path]
-                    tc = training_complexity(iters, baseline_total)
-                cells.append(R.Cell("1", f"{family} {label}",
-                                    "train_complexity", tc,
-                                    p.published["train_complexity"],
-                                    R.TC_TOL if len(path) > 1 else 0.0))
-    elif table_id == "2":
-        for family, names in R.TABLE2:
-            for name in names:
-                p = get_preset(name)
-                cells.append(R.Cell("2", name, "energy_efficiency",
-                                    _analytical_ratio(name),
-                                    p.published["energy_efficiency"], None))
-    elif table_id == "4":
-        for row, base_name, bits_name, pub_uj, pub_base_uj, pub_red \
-                in R.TABLE4:
-            family = get_preset(base_name).family
-            rep = _pim_report(base_name, bits_name)
-            cells.append(R.Cell("4", row, "baseline_energy_uJ",
-                                rep.baseline_total_pj / 1e6, pub_base_uj,
-                                R.PIM_BASE_TOL[family]))
-            cells.append(R.Cell("4", row, "mixed_energy_uJ", rep.total_uj,
-                                pub_uj, R.PIM_MIXED_TOL))
-            cells.append(R.Cell("4", row, "energy_reduction", rep.efficiency,
-                                pub_red, R.PIM_MIXED_TOL))
-    elif table_id == "5":
-        for row, base_name, bits_name, ch_name, pub_uj, pub_base_uj, \
-                pub_red in R.TABLE5:
-            rep = _pim_report(base_name, bits_name, ch_name)
-            cells.append(R.Cell("5", row, "pruned_energy_uJ", rep.total_uj,
-                                pub_uj, R.PIM_PRUNED_TOL))
-            cells.append(R.Cell("5", row, "energy_reduction", rep.efficiency,
-                                pub_red, R.PIM_PRUNED_TOL))
-    return cells
-
-
 # ------------------------------------------------------- former schedule
 # The package's former ``run_schedule`` (renamed ``former_run_schedule``),
 # ``_test_accuracy`` and ``_train_epoch`` verbatim: the schedule's state in
@@ -763,125 +677,35 @@ def _train_epoch(arch, state, quantizer, dataset, config, optim, history,
     return float(np.mean(losses)), scores
 
 
-# ---------------------------------------------------- former energy reports
-# The package's former ``_network_energy``, ``pim_network_energy``,
-# ``analytical_network_energy``, ``EnergyReport.to_dict`` and ``_indent2``
-# verbatim (renamed ``former_*``; ``former_to_dict`` takes the report as
-# ``self``): each row's counts computed twice, the uniform baseline costed
-# layer by layer for every report, the rows summed once per total, and two
-# encoder calls per scalar item of a dict that holds a container. The
-# package's ``_CONTAINERS``, ``_SCALARS``, ``_encoder`` and ``_is_flat``,
-# which ``former_indent2`` uses, and its ``_resolve_bits``, which read an
-# assignment's ``k`` or took a dict, are kept here verbatim.
+def energy_report_dict(model, arch, bits, channels=None, baseline_bits=16):
+    """``EnergyReport.to_dict()`` from the README's formulas, at the shapes
+    of ``arch.infer_shapes(channels)``; a linear layer is a 1x1 conv on a
+    1x1 map. The baseline is uniform `baseline_bits`, unpruned."""
+    def rows(shapes, bits):
+        for spec in arch.layers:
+            if spec.kind not in ("conv2d", "linear"):
+                continue
+            i, n, *_ = shapes[arch.input_ids(spec.id)[0]] + (1,)
+            o, m, *_ = shapes[spec.id] + (1,)
+            k, p = bits[spec.id], spec.kernel if spec.kind == "conv2d" else 1
+            n_mem, n_mac = n * n * i + p * p * i * o, m * m * i * p * p * o
+            if model == "pim":
+                pim_k = min(s for s in PIM_MAC_FJ if s >= k)  # k rounded up
+                e = n_mac * PIM_MAC_FJ[pim_k] / 1e3
+            else:
+                pim_k = None
+                e = n_mem * (2.5 * k) + n_mac * (3.1 * k / 32 + 0.1)
+            yield {"layer_id": spec.id, "kind": spec.kind.replace("2d", ""),
+                   "k": k, "pim_k": pim_k, "in_channels": i,
+                   "out_channels": o, "n_mem": n_mem, "n_mac": n_mac,
+                   "energy_pj": e, "binary_flag": k == 1}
 
-def _resolve_bits(shapes, assignment):
-    if hasattr(assignment, "k"):
-        bits = assignment.k
-    else:
-        bits = assignment
-    missing = [s.layer_id for s in shapes if s.layer_id not in bits]
-    if missing:
-        raise ConfigurationError(f"no bit-width for layers {missing}")
-    return {s.layer_id: int(bits[s.layer_id]) for s in shapes}
-
-
-def former_network_energy(model, arch, assignment, prune_state, baseline_bits,
-                          cost) -> EnergyReport:
-    """Report with one row per weighted layer; cost(shape, k) returns
-    (the PIM precision or None, energy in pJ). The baseline is uniform
-    `baseline_bits`, unpruned, over the same layer set."""
-    channels = getattr(prune_state, "channels", prune_state)
-    shapes = layer_shapes(arch, channels)
-    bits = _resolve_bits(shapes, assignment)
-    report = EnergyReport(model=model, baseline_bits=baseline_bits)
-    for s in shapes:
-        k = bits[s.layer_id]
-        pim_k, energy_pj = cost(s, k)
-        report.rows.append(LayerEnergy(
-            layer_id=s.layer_id, kind=s.kind, k=k, pim_k=pim_k,
-            in_channels=s.i, out_channels=s.o,
-            n_mem=mem_accesses(s), n_mac=mac_count(s),
-            energy_pj=energy_pj, binary_flag=(k == 1)))
-    # an unpruned report is costed at the baseline's own shapes
-    base_shapes = shapes if channels is None else layer_shapes(arch)
-    report.baseline_total_pj = sum(
-        cost(s, baseline_bits)[1] for s in base_shapes)
-    return report
-
-
-def former_pim_network_energy(arch: NetworkArch, assignment,
-                              prune_state=None) -> EnergyReport:
-    """MAC-only PIM energy report; baseline is uniform 16-bit, unpruned."""
-    def cost(s, k):
-        pk = pim_round_bits(k)
-        return pk, mac_count(s) * PIM_MAC_FJ[pk] / 1e3  # fJ -> pJ
-    return former_network_energy("pim", arch, assignment, prune_state, 16,
-                                 cost)
-
-
-def former_analytical_network_energy(arch: NetworkArch, assignment,
-                                     prune_state=None,
-                                     baseline_bits: int = 16) -> EnergyReport:
-    """MAC + memory-access energy report; baseline is uniform `baseline_bits`,
-    unpruned, over the same layer set."""
-    def cost(s, k):
-        return None, analytical_layer_energy(s, k)
-    return former_network_energy("analytical", arch, assignment, prune_state,
-                                 baseline_bits, cost)
-
-
-def former_to_dict(self) -> dict:
-    return {
-        "model": self.model,
-        "baseline_bits": self.baseline_bits,
-        "layers": [vars(r) for r in self.rows],
-        "total_pj": self.total_pj,
-        "total_uj": self.total_uj,
-        "baseline_total_pj": self.baseline_total_pj,
-        "baseline_total_uj": self.baseline_total_pj / 1e6,
-        "efficiency_ratio": self.efficiency,
-    }
-
-
-_CONTAINERS = (dict, list, tuple)
-_SCALARS = {str, int, float, bool, type(None)}
-
-
-@functools.cache
-def _encoder(depth: int) -> json.JSONEncoder:
-    """A C encoder whose item separator starts a new line `depth` levels of
-    two spaces deep."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
-
-
-def _is_flat(values) -> bool:
-    return set(map(type, values)) <= _SCALARS
-
-
-def former_indent2(obj, depth: int = 0) -> str:
-    """``json.dumps(obj, indent=2)`` for str-keyed JSON data. The indenting
-    encoder is pure Python; here the C encoder writes each container that
-    holds no container in one call, and a list of such dicts (a report's
-    rows) in one call for the whole list."""
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        return _encoder(0).encode(obj)  # a scalar, {} or []
-    pad = "\n" + "  " * depth
-    inner = pad + "  "
-    is_dict = isinstance(obj, dict)
-    if _is_flat(obj.values() if is_dict else obj):
-        body = _encoder(depth + 1).encode(obj)[1:-1]
-    elif is_dict:
-        body = ("," + inner).join(
-            _encoder(0).encode(k) + ": " + former_indent2(v, depth + 1)
-            for k, v in obj.items())
-    elif all(isinstance(v, dict) and v and _is_flat(v.values()) for v in obj):
-        # the encoder writes "},<separator>{" between two rows and nowhere
-        # else, since an encoded string holds no raw newline
-        row_pad = inner + "  "
-        rows = _encoder(depth + 2).encode(obj)[2:-2].replace(
-            "}," + row_pad + "{", inner + "}," + inner + "{" + row_pad)
-        body = "{" + row_pad + rows + inner + "}"
-    else:
-        body = ("," + inner).join(former_indent2(v, depth + 1) for v in obj)
-    opening, closing = "{}" if is_dict else "[]"
-    return opening + inner + body + pad + closing
+    layers = list(rows(arch.infer_shapes(channels), bits))
+    total = base = 0  # added left to right
+    for row, base_row in zip(layers, rows(arch.infer_shapes(), dict.fromkeys(
+            bits, baseline_bits))):
+        total, base = total + row["energy_pj"], base + base_row["energy_pj"]
+    return {"model": model, "baseline_bits": baseline_bits, "layers": layers,
+            "total_pj": total, "total_uj": total / 1e6,
+            "baseline_total_pj": base, "baseline_total_uj": base / 1e6,
+            "efficiency_ratio": base / total}

@@ -474,9 +474,16 @@ class TestCorruptCheckpoint:
          "step 'abc' is not an integer >= 0"),
         (lambda h: h.update(step=True), "step True is not an integer >= 0"),
         (lambda h: h.update(epoch=-3), "epoch -3 is not an integer >= 0"),
+        (lambda h: h.update(rng_seed=True),
+         "rng_seed True is not an integer >= 0"),
+        (lambda h: h.update(ad_history="zz"),
+         "ad_history 'zz' is not null or a list"),
+        (lambda h: h.update(quant_state=3),
+         "quant_state 3 is not null or an object"),
     ], ids=["foreign-arch-hash", "no-weight", "reshaped-weight",
             "moment-of-a-relu", "format-9", "step-abc", "step-true",
-            "epoch-negative"])
+            "epoch-negative", "rng-seed-true", "ad-history-string",
+            "quant-state-number"])
     def test_header_that_disagrees_with_its_arch_is_an_input_error(
             self, tmp_path, capsys, edit, why):
         bad = str(_edited_checkpoint(tmp_path, edit))

@@ -184,6 +184,14 @@ class TestNetworkEnergies:
         with pytest.raises(InputError, match="zero model energy"):
             rep.efficiency
 
+    def test_totals_add_left_to_right(self):
+        # sum() compensates since Python 3.12 and would give 1.0 here
+        rows = [LayerEnergy(0, "conv", 8, None, 1, 1, 1, 1, e)
+                for e in (1e16, 1.0, -1e16)]
+        assert EnergyReport("analytical", rows).total_pj == 0.0
+        assert training_complexity(
+            [(1.0, 1e16), (1.0, 1.0), (1.0, -1e16)], 1) == 0.0
+
     def test_empty_network_energy_is_zero(self):
         from adq.nn.arch import LayerSpec, NetworkArch
         arch = NetworkArch(
@@ -472,34 +480,33 @@ def _report_calls(draw):
     return name, calls
 
 
-def _report(network_energy, model, arch, bits_list, chans, baseline_bits):
-    bits = assignment_map(arch, bits_list)
-    channels = None if chans is None else channel_map(arch, chans)
-    if model == "pim":
-        return network_energy[0](arch, bits, channels)
-    return network_energy[1](arch, bits, channels,
-                             baseline_bits=baseline_bits)
+def _maps(arch, bits_list, chans):
+    return (assignment_map(arch, bits_list),
+            None if chans is None else channel_map(arch, chans))
 
 
-class TestFormerReports:
-    """Reports equal the former code's (tests/oracles.py) byte for byte,
-    whatever reports the same architecture built before."""
+class TestReportOracle:
+    """Reports equal an oracle written from the README's formulas
+    (tests/oracles.py) byte for byte, whatever reports the same
+    architecture built before."""
 
     @settings(max_examples=60, deadline=None)
     @given(_report_calls())
-    def test_reused_and_fresh_archs_match_the_former_code(self, drawn):
+    def test_reused_and_fresh_archs_match_the_oracle(self, drawn):
         name, calls = drawn
         p = PRESETS[name]
         reused = p.build_arch()
         for model, baseline_bits, bits, chans in calls:
-            want = _report((oracles.former_pim_network_energy,
-                            oracles.former_analytical_network_energy),
-                           model, p.build_arch(), bits, chans, baseline_bits)
-            want_json = oracles.former_indent2(oracles.former_to_dict(want))
+            arch = p.build_arch()
+            want = json.dumps(oracles.energy_report_dict(
+                model, arch, *_maps(arch, bits, chans), baseline_bits),
+                indent=2)
+            got = []
             for arch in (reused, p.build_arch()):
-                got = _report((pim_network_energy,
-                               analytical_network_energy),
-                              model, arch, bits, chans, baseline_bits)
-                assert got.to_json() == want_json
-                assert got.to_csv() == want.to_csv()
-                assert got.baseline_total_pj == want.baseline_total_pj
+                bits_map, channels = _maps(arch, bits, chans)
+                rep = (pim_network_energy(arch, bits_map, channels)
+                       if model == "pim" else analytical_network_energy(
+                           arch, bits_map, channels, baseline_bits))
+                assert rep.to_json() == want
+                got.append(rep.to_csv())
+            assert got[0] == got[1]
