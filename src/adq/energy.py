@@ -183,17 +183,18 @@ class EnergyReport:
                 f"{rows}\n    }}\n  ],\n  {totals}\n}}")
 
     def to_csv(self) -> str:
+        total = self.total_pj  # adds the rows; read once
+        ratio = efficiency_ratio_values(self.baseline_total_pj, total)
         return csv_text([
             ["layer_id", "kind", "k", "pim_k", "channels", "N_Mem", "N_MAC",
              "E_pJ"],
             *([r.layer_id, r.kind, r.k, "" if r.pim_k is None else r.pim_k,
                r.out_channels, r.n_mem, r.n_mac, f"{r.energy_pj:.6g}"]
               for r in self.rows),
-            ["total", "", "", "", "", "", "", f"{self.total_pj:.6g}"],
+            ["total", "", "", "", "", "", "", f"{total:.6g}"],
             ["baseline_total", "", self.baseline_bits, "", "", "", "",
              f"{self.baseline_total_pj:.6g}"],
-            ["efficiency_ratio", "", "", "", "", "", "",
-             f"{self.efficiency:.6g}"]])
+            ["efficiency_ratio", "", "", "", "", "", "", f"{ratio:.6g}"]])
 
 
 # C encoders whose item separators start a new line at a report's top level

@@ -190,7 +190,8 @@ def backward(arch: NetworkArch, state: TrainState, cache: ForwardCache,
                 grads[spec.id] = pg
         for src, g, mask in zip(srcs, gins, masks):
             if needed[src]:
-                route(src, g if mask is None else g * mask)
+                # uint8, not bool: same product, faster (see relu_backward)
+                route(src, g if mask is None else g * mask.view(np.uint8))
 
     return grads, gmap.get(-1)
 

@@ -215,7 +215,8 @@ def relu_forward(x):
 
 
 def relu_backward(cache, gout):
-    return gout * cache, {}
+    # uint8 casts to the same 1.0/0.0 as bool, but multiplies several x faster
+    return gout * cache.view(np.uint8), {}
 
 
 # -------------------------------------------------------------------- pooling
@@ -241,7 +242,8 @@ def maxpool_backward(cache, gout):
     gx = np.zeros(x_shape, dtype=gout.dtype)
     for i in range(k):
         for j in range(k):
-            sel = arg == i * k + j
+            # uint8, not bool: the same product, faster (see relu_backward)
+            sel = (arg == i * k + j).view(np.uint8)
             gx[:, :, i:i + s * ho:s, j:j + s * wo:s] += gout * sel
     return gx, {}
 

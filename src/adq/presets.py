@@ -13,6 +13,7 @@ are therefore not listed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from adq.errors import InputError
@@ -178,22 +179,11 @@ class Preset:
     published: dict = field(default_factory=dict)
 
     def build_arch(self) -> NetworkArch:
-        if self.arch_kind == "vgg19":
-            arch = build_vgg19(self.num_classes, self.input_size)
-            if self.removed_convs:
-                doomed = []
-                for cid in arch.conv_ids()[-self.removed_convs:]:
-                    pos = arch.position(cid)
-                    doomed.append(cid)
-                    for nxt in arch.layers[pos + 1:pos + 3]:
-                        if nxt.kind in ("batchnorm", "relu"):
-                            doomed.append(nxt.id)
-                arch = arch.drop_layers(doomed)
-            return arch
-        # projection shortcuts on every block: the published baseline MAC
-        # energies are only reached with per-block 1x1 projections
-        return build_resnet18(self.num_classes, self.input_size,
-                              always_project=True)
+        """This preset's frozen network, built once per process and shared
+        by every preset with the same (arch_kind, num_classes, input_size,
+        removed_convs), so its memoized facts are also computed once."""
+        return _preset_arch(self.arch_kind, self.num_classes,
+                            self.input_size, self.removed_convs)
 
     def main_bits(self) -> list:
         if self.removed_convs:
@@ -211,6 +201,25 @@ class Preset:
             return None
         arch = arch or self.build_arch()
         return channel_map(arch, list(self.channels))
+
+
+@functools.cache
+def _preset_arch(arch_kind, num_classes, input_size, removed_convs):
+    if arch_kind == "vgg19":
+        arch = build_vgg19(num_classes, input_size)
+        if removed_convs:
+            doomed = []
+            for cid in arch.conv_ids()[-removed_convs:]:
+                pos = arch.position(cid)
+                doomed.append(cid)
+                for nxt in arch.layers[pos + 1:pos + 3]:
+                    if nxt.kind in ("batchnorm", "relu"):
+                        doomed.append(nxt.id)
+            arch = arch.drop_layers(doomed)
+        return arch
+    # projection shortcuts on every block: the published baseline MAC
+    # energies are only reached with per-block 1x1 projections
+    return build_resnet18(num_classes, input_size, always_project=True)
 
 
 def _uniform(n, k):

@@ -15,8 +15,9 @@ Interpretation notes (each choice is validated by the tolerances below):
 * Training complexity normalizes by a full baseline run: 210 epochs for
   VGG19/CIFAR-10 (the full published baseline run), fitted totals elsewhere.
 
-``compute_table`` builds each distinct preset architecture once per table
-and hands it to every row that costs on it; nothing is kept between calls.
+Every row costs on its preset's shared network (``Preset.build_arch``), so
+each distinct architecture is built, and its shapes and baseline totals
+computed, once per process however many tables are computed.
 """
 
 from __future__ import annotations
@@ -55,36 +56,20 @@ class Cell:
         return abs(self.rel_dev) <= self.tolerance
 
 
-def _arch_builder():
-    """arch_of(preset) -> its architecture, built on first use. Presets
-    share one when they agree on (arch_kind, num_classes, input_size,
-    removed_convs), the fields build_arch reads."""
-    archs = {}
-
-    def arch_of(p):
-        key = (p.arch_kind, p.num_classes, p.input_size, p.removed_convs)
-        if key not in archs:
-            archs[key] = p.build_arch()
-        return archs[key]
-    return arch_of
-
-
-def _analytical_ratio(arch_of, preset_name: str) -> float:
+def _analytical_ratio(preset_name: str) -> float:
     p = get_preset(preset_name)
-    arch = arch_of(p)
+    arch = p.build_arch()
     rep = analytical_network_energy(arch, p.bit_assignment(arch),
                                     p.channel_assignment(arch),
                                     baseline_bits=p.baseline_bits)
     return rep.efficiency
 
 
-def _pim_report(arch_of, arch_preset: str, bits_preset: str,
-                channels_preset=None):
-    arch = arch_of(get_preset(arch_preset))
+def _pim_report(arch_preset: str, bits_preset: str, channels_preset=None):
+    arch = get_preset(arch_preset).build_arch()
     bits = get_preset(bits_preset).bit_assignment(arch)
-    channels = None
-    if channels_preset is not None:
-        channels = get_preset(channels_preset).channel_assignment(arch)
+    channels = (None if channels_preset is None
+                else get_preset(channels_preset).channel_assignment(arch))
     return pim_network_energy(arch, bits, channels)
 
 
@@ -147,17 +132,17 @@ def compute_table(table_id) -> list[Cell]:
     if table is None:
         raise InputError(
             f"unknown table {str(table_id)!r}; choose from 1, 2, 4, 5")
-    return table(_arch_builder())
+    return table()
 
 
-def _table1(arch_of) -> list[Cell]:
+def _table1() -> list[Cell]:
     cells = []
     for family, rows in TABLE1:
         baseline_total = BASELINE_EPOCH_TOTALS[family]
         ratios = {}  # preset -> its efficiency, costed once per family
         for label, path in rows:
             p = get_preset(path[-1])
-            ratio = ratios[p.name] = _analytical_ratio(arch_of, p.name)
+            ratio = ratios[p.name] = _analytical_ratio(p.name)
             cells.append(Cell("1", f"{family} {label}", "energy_efficiency",
                               ratio, p.published["energy_efficiency"],
                               EFF_TOL if len(path) > 1 else 0.0))
@@ -173,22 +158,22 @@ def _table1(arch_of) -> list[Cell]:
     return cells
 
 
-def _table2(arch_of) -> list[Cell]:
+def _table2() -> list[Cell]:
     cells = []
     for family, names in TABLE2:
         for name in names:
             p = get_preset(name)
-            ratio = _analytical_ratio(arch_of, name)
+            ratio = _analytical_ratio(name)
             cells.append(Cell("2", name, "energy_efficiency", ratio,
                               p.published["energy_efficiency"], None))
     return cells
 
 
-def _table4(arch_of) -> list[Cell]:
+def _table4() -> list[Cell]:
     cells = []
     for row, base_name, bits_name, pub_uj, pub_base_uj, pub_red in TABLE4:
         family = get_preset(base_name).family
-        rep = _pim_report(arch_of, base_name, bits_name)
+        rep = _pim_report(base_name, bits_name)
         base_uj = rep.baseline_total_pj / 1e6
         cells.append(Cell("4", row, "baseline_energy_uJ", base_uj,
                           pub_base_uj, PIM_BASE_TOL[family]))
@@ -199,10 +184,10 @@ def _table4(arch_of) -> list[Cell]:
     return cells
 
 
-def _table5(arch_of) -> list[Cell]:
+def _table5() -> list[Cell]:
     cells = []
     for row, base_name, bits_name, ch_name, pub_uj, pub_base_uj, pub_red in TABLE5:
-        rep = _pim_report(arch_of, base_name, bits_name, ch_name)
+        rep = _pim_report(base_name, bits_name, ch_name)
         cells.append(Cell("5", row, "pruned_energy_uJ", rep.total_uj, pub_uj,
                           PIM_PRUNED_TOL))
         cells.append(Cell("5", row, "energy_reduction", rep.efficiency,

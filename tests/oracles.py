@@ -1,9 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Most of it shares no code with the package internals and is deliberately
-naive (nested loops, direct formulas). Six pieces are the package's former
+naive (nested loops, direct formulas). Seven pieces are the package's former
 code, kept as a bit-for-bit reference: the einsum convolution kernels; the
 quantizer and batchnorm forward that allocated a new array per operation;
+the relu and maxpool backward that multiplied by a bool mask;
 the pruning rebuild that mirrored skip-path convs onto their destinations
 and walked back from each linear layer to the flatten (it builds its result
 with the package's architecture and engine); the evaluation that ran the
@@ -154,6 +155,20 @@ def fake_quant(x, qp: QuantParams):
 
 def ste_mask(x, qp: QuantParams):
     return (np.asarray(x) >= qp.x_min) & (np.asarray(x) <= qp.x_max)
+
+
+def relu_backward(cache, gout):
+    return gout * cache, {}
+
+
+def maxpool_backward(cache, gout):
+    x_shape, k, s, ho, wo, arg = cache
+    gx = np.zeros(x_shape, dtype=gout.dtype)
+    for i in range(k):
+        for j in range(k):
+            sel = arg == i * k + j
+            gx[:, :, i:i + s * ho:s, j:j + s * wo:s] += gout * sel
+    return gx, {}
 
 
 def _bn_axes(x):

@@ -268,6 +268,12 @@ class TestChannelOverrides:
         assert any(s.o != t.o for s, t in zip(got, layer_shapes(arch)))
 
 
+def _cold_arch(p):
+    """A private copy of the preset's network, with nothing memoized but
+    what validation keeps (build_arch returns one shared network)."""
+    return NetworkArch.from_dict(p.build_arch().to_dict())
+
+
 # report strings and energies as the writer must escape or spell them
 _TEXT = st.text() | st.sampled_from(
     ["pim", 'say "hi"', "two\nlines", "tab\t\\", "énergie", "能量 ⚡"])
@@ -327,7 +333,7 @@ class TestReportJson:
 
     def test_unpruned_report_infers_shapes_once(self, monkeypatch):
         p = PRESETS["vgg19-cifar10-prune-iter2"]
-        arch = p.build_arch()
+        arch = _cold_arch(p)
         bits = p.bit_assignment(arch)
         calls = []
         real = energy.layer_shapes
@@ -346,7 +352,7 @@ class TestReportJson:
     def test_cold_pruned_report_resolves_the_baseline_once(self,
                                                            monkeypatch):
         p = PRESETS["vgg19-cifar10-prune-iter2"]
-        arch = p.build_arch()
+        arch = _cold_arch(p)
         bits = p.bit_assignment(arch)
         channels = p.channel_assignment(arch)
         calls = []
@@ -403,7 +409,7 @@ class TestResolvedOncePerArch:
         order = (True, False) if pruned_first else (False, True)
         for pruned in order * 2:
             assert (_report_text(p, model, reused, pruned)
-                    == _report_text(p, model, p.build_arch(), pruned))
+                    == _report_text(p, model, _cold_arch(p), pruned))
 
     @pytest.mark.parametrize("build", [build_vgg19, build_resnet18])
     def test_editing_a_returned_list_changes_no_later_result(self, build):
@@ -428,7 +434,7 @@ class TestResolvedOncePerArch:
     @pytest.mark.parametrize("k", [1, 3])
     def test_only_pruned_reports_walk_the_network(self, monkeypatch, k):
         p = PRESETS["resnet18-cifar100-prune-iter3"]
-        arch = p.build_arch()  # validation walks it once
+        arch = _cold_arch(p)  # validation walks it once
         bits = p.bit_assignment(arch)
         channels = p.channel_assignment(arch)
         walks, kept = [], []
@@ -497,12 +503,12 @@ class TestReportOracle:
         p = PRESETS[name]
         reused = p.build_arch()
         for model, baseline_bits, bits, chans in calls:
-            arch = p.build_arch()
+            arch = _cold_arch(p)
             want = json.dumps(oracles.energy_report_dict(
                 model, arch, *_maps(arch, bits, chans), baseline_bits),
                 indent=2)
             got = []
-            for arch in (reused, p.build_arch()):
+            for arch in (reused, _cold_arch(p)):
                 bits_map, channels = _maps(arch, bits, chans)
                 rep = (pim_network_energy(arch, bits_map, channels)
                        if model == "pim" else analytical_network_energy(

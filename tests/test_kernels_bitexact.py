@@ -13,9 +13,14 @@ would not.
 The quantizer and the batchnorm forward are held the same way to their
 former versions (``oracles.quantize``/``dequantize``/``fake_quant``/
 ``ste_mask`` and ``oracles.batchnorm_forward``), which allocated a new
-array per operation where the current ones work in place.
+array per operation where the current ones work in place. So are the
+products of a gradient and a mask (relu, maxpool and the quantizer's
+straight-through masks), which now multiply by the mask viewed as uint8
+where they multiplied by bool: ``oracles.relu_backward``/
+``maxpool_backward``, and the engine run with those and a bool STE mask.
 """
 
+import copy
 import itertools
 
 import numpy as np
@@ -26,7 +31,8 @@ from adq.nn import engine
 from adq.nn import layers as L
 from adq.nn.arch import LayerSpec, NetworkArch
 from adq.nn.data import synthetic_dataset
-from adq.scheduler import ScheduleConfig, run_schedule
+from adq.presets import build_toy_cnn
+from adq.scheduler import ScheduleConfig, build_quantizer, run_schedule
 
 import oracles
 
@@ -374,3 +380,100 @@ def test_backward_skips_the_input_gradient_keeping_bits(monkeypatch, first):
     for lid, pg in grads.items():
         for name, g in pg.items():
             assert lean_grads[lid][name].tobytes() == g.tobytes(), (lid, name)
+
+
+# ------------------------------------------------------------ mask products
+
+def _same_bytes(got, want):
+    """Equal bytes (so -0.0 and NaN count as their bits) and layouts."""
+    return (got.dtype == want.dtype and _layout(got) == _layout(want)
+            and got.tobytes() == want.tobytes())
+
+
+def _layouts(a):
+    """a in C order and with its channels innermost (a 2-d a: transposed)."""
+    return (("c-order", a), ("channels-last", _channels_last(a)
+                             if a.ndim == 4 else np.asfortranarray(a)))
+
+
+def _with_specials(rng, shape):
+    """Normal values, a third of them replaced by +-0, NaN and +-inf."""
+    g = rng.normal(size=shape)
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+    pick = rng.random(shape) < 1 / 3
+    g[pick] = rng.choice(specials, size=int(pick.sum()))
+    g.reshape(-1)[:5] = specials  # each at least once
+    return g
+
+
+@pytest.mark.parametrize("shape", [(4, 6, 5, 3), (7, 9)])
+def test_relu_backward_matches_the_bool_mask_product(shape):
+    rng = np.random.default_rng(len(shape))
+    for (gtag, g), (mtag, mask) in itertools.product(
+            _layouts(_with_specials(rng, shape)),
+            _layouts(rng.random(shape) < 0.5)):
+        with np.errstate(invalid="ignore"):  # inf * 0
+            got, _ = L.relu_backward(mask, g)
+            want, _ = oracles.relu_backward(mask, g)
+        assert _same_bytes(got, want), (gtag, mtag)
+
+
+@pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1), (3, 2)])
+def test_maxpool_backward_matches_the_bool_mask_product(kernel, stride):
+    rng = np.random.default_rng(kernel * 10 + stride)
+    for xtag, x in _layouts(rng.normal(size=(3, 4, 7, 7))):
+        out, cache = L.maxpool_forward(x, kernel, stride)
+        for gtag, g in _layouts(_with_specials(rng, out.shape)):
+            with np.errstate(invalid="ignore"):  # inf * 0, inf - inf
+                got, _ = L.maxpool_backward(cache, g)
+                want, _ = oracles.maxpool_backward(cache, g)
+            assert _same_bytes(got, want), (xtag, gtag)
+
+
+class _BoolMask(np.ndarray):
+    """An STE mask whose uint8 view is the bool mask itself, so that the
+    engine multiplies by bool, as it did before."""
+
+    def view(self, *args, **kwargs):
+        return np.ndarray.view(self, np.ndarray)
+
+
+def _engine_grads(arch, quantizer, x):
+    """The gradients of a backward after a training forward on x."""
+    state = engine.init_state(arch, 2)
+    logits, cache = engine.forward(arch, state, x,
+                                   quantizer=copy.deepcopy(quantizer))
+    lgrad = engine.loss_softmax_xent(logits,
+                                     np.arange(len(x)) % arch.num_classes)[1]
+    return engine.backward(arch, state, cache, lgrad, input_grad=True)
+
+
+@pytest.mark.parametrize("arch", [build_toy_cnn(), _residual_arch()],
+                         ids=["toy", "residual"])
+def test_engine_backward_matches_the_bool_mask_products(monkeypatch, arch):
+    rng = np.random.default_rng(11)
+    shape = (6,) + tuple(arch.input_shape)
+    quantizer = build_quantizer(arch, dict.fromkeys(arch.weighted_ids(), 3),
+                                ScheduleConfig())
+    # ranges from a narrow batch, then a wide one: its STE masks clip
+    engine.forward(arch, engine.init_state(arch, 2),
+                   0.25 * rng.normal(size=shape), quantizer=quantizer)
+    x = 2.0 * rng.normal(size=shape)
+    grads, gx = _engine_grads(arch, quantizer, x)
+    with monkeypatch.context() as mp:
+        mp.setattr(L, "relu_backward", oracles.relu_backward)
+        mp.setattr(L, "maxpool_backward", oracles.maxpool_backward)
+        mp.setattr(quant, "ste_mask",
+                   lambda x, qp: oracles.ste_mask(x, qp).view(_BoolMask))
+        want, want_gx = _engine_grads(arch, quantizer, x)
+    with monkeypatch.context() as mp:
+        mp.setattr(quant, "ste_mask", lambda x, qp: np.ones(x.shape, bool))
+        unclipped, _ = _engine_grads(arch, quantizer, x)
+    assert _same_bytes(gx, want_gx)
+    assert grads.keys() == want.keys()
+    for lid, pg in want.items():
+        for name, g in pg.items():
+            assert _same_bytes(grads[lid][name], g), (lid, name)
+    assert any(not np.array_equal(unclipped[lid][name], g)
+               for lid, pg in want.items() for name, g in pg.items()), \
+        "the STE masks clip nothing"

@@ -1,13 +1,14 @@
 """Preset catalog integrity and the published-number reproductions."""
 
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple
 
 import pytest
 
 import golden
+from adq import presets
 from adq.energy import analytical_network_energy, pim_network_energy
 from adq.errors import InputError
-from adq.presets import (PRESETS, Preset, get_preset, preset_names,
+from adq.presets import (PRESETS, get_preset, preset_names,
                          resnet_bits_from_raw, vgg_bits_from_raw)
 from adq.reproduce import compute_table
 from adq.scheduler import main_chain_weighted_ids, skip_topology
@@ -188,21 +189,33 @@ class TestReproduceTables:
         b = [(c.row, c.metric, c.computed) for c in compute_table("4")]
         assert a == b
 
-    @pytest.mark.parametrize("table,archs", [("1", 4), ("2", 3), ("4", 2),
-                                             ("5", 2)])
-    def test_one_build_per_distinct_arch_and_the_same_cells(
-            self, monkeypatch, table, archs):
-        want = golden.read_golden()[f"reproduce --table {table}"]["cells"]
+    def test_one_build_per_distinct_arch_and_the_same_cells(self,
+                                                            monkeypatch):
+        want = golden.read_golden()
         built = []
-        real = Preset.build_arch
 
-        def counting_build(preset):
-            built.append(preset.name)
-            return real(preset)
+        def counting(build):
+            def counted(*args, **kwargs):
+                built.append(build.__name__)
+                return build(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(Preset, "build_arch", counting_build)
-        assert [repr(astuple(c)) for c in compute_table(table)] == want
-        assert len(built) == archs
-        # nothing is kept for the next call
-        compute_table(table)
-        assert len(built) == 2 * archs
+        presets._preset_arch.cache_clear()  # every network cold
+        for build in (presets.build_vgg19, presets.build_resnet18):
+            monkeypatch.setattr(presets, build.__name__, counting(build))
+        for _ in range(2):
+            for table in ("1", "2", "4", "5"):
+                assert ([repr(astuple(c)) for c in compute_table(table)]
+                        == want[f"reproduce --table {table}"]["cells"])
+        # VGG19 with and without its last conv, ResNet18 on CIFAR-100 and
+        # on TinyImagenet: each built once, whichever table asks first
+        assert sorted(built) == ["build_resnet18"] * 2 + ["build_vgg19"] * 2
+
+    def test_presets_with_one_network_share_it_frozen(self):
+        arch = get_preset("vgg19-cifar10-baseline").build_arch()
+        assert get_preset("vgg19-cifar10-iter2").build_arch() is arch
+        assert get_preset("vgg19-cifar10-iter2a").build_arch() is not arch
+        with pytest.raises(FrozenInstanceError):
+            arch.layers = ()
+        with pytest.raises(FrozenInstanceError):
+            arch.layers[0].out_channels = 1
