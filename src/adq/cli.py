@@ -223,13 +223,11 @@ def cmd_energy(args) -> int:
         base = os.path.join(args.out, f"energy_{label}_{args.model}")
         make_dir(args.out)
         check_targets((f"{base}.json", f"{base}.csv"))
-    total = rep.total_pj  # adds the rows; read once
     print(f"{label} [{args.model}]")
-    print(f"  total energy:    {total / 1e6:.6g} uJ")
+    print(f"  total energy:    {rep.total_uj:.6g} uJ")
     print(f"  baseline energy: {rep.baseline_total_pj / 1e6:.6g} uJ "
           f"(uniform {rep.baseline_bits}-bit)")
-    ratio = energy_mod.efficiency_ratio_values(rep.baseline_total_pj, total)
-    print(f"  efficiency:      {ratio:.4g}x")
+    print(f"  efficiency:      {rep.efficiency:.4g}x")
     if args.out:
         _write_report(rep, base)
         print(f"  report files:    {base}.json / .csv")

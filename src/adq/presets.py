@@ -181,7 +181,9 @@ class Preset:
     def build_arch(self) -> NetworkArch:
         """This preset's frozen network, built once per process and shared
         by every preset with the same (arch_kind, num_classes, input_size,
-        removed_convs), so its memoized facts are also computed once."""
+        removed_convs), so its memoized facts are also computed once.
+        Callers must not edit those facts; every network built is kept
+        until the process exits, which suits the catalog's four."""
         return _preset_arch(self.arch_kind, self.num_classes,
                             self.input_size, self.removed_convs)
 

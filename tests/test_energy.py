@@ -405,7 +405,7 @@ class TestResolvedOncePerArch:
     def test_reused_arch_reports_match_fresh_ones(self, name, model,
                                                   pruned_first):
         p = PRESETS[name]
-        reused = p.build_arch()
+        reused = _cold_arch(p)  # the order decides what fills its memo
         order = (True, False) if pruned_first else (False, True)
         for pruned in order * 2:
             assert (_report_text(p, model, reused, pruned)
@@ -501,7 +501,7 @@ class TestReportOracle:
     def test_reused_and_fresh_archs_match_the_oracle(self, drawn):
         name, calls = drawn
         p = PRESETS[name]
-        reused = p.build_arch()
+        reused = _cold_arch(p)  # these calls alone fill its memo
         for model, baseline_bits, bits, chans in calls:
             arch = _cold_arch(p)
             want = json.dumps(oracles.energy_report_dict(
